@@ -1,10 +1,9 @@
 // Command firmupd is the long-running FirmUp query daemon: it loads a
-// sealed corpus — a v1 artifact (fwcrawl -sealed / SealedCorpus.Save)
-// or a directory of mmap-backed v2 shards (fwcrawl -sealed -shards N /
-// SealedCorpus.WriteShards) — at startup and serves CVE-search queries
+// sealed corpus — a directory of mmap-backed FWCORP v2 shards (fwcrawl
+// -sealed [-shards N] / SealedCorpus.WriteShards), or the single shard
+// file of a one-shard corpus — at startup and serves CVE-search queries
 // over HTTP.
 //
-//	firmupd -corpus corpus.fwcorp -addr :8080
 //	firmupd -corpus corpus.fwcorp.d -addr :8080
 //
 // Query it by POSTing a query executable (an FWELF binary, typically
@@ -40,13 +39,12 @@ import (
 func main() {
 	var (
 		addr            = flag.String("addr", ":8080", "listen address")
-		corpusPath      = flag.String("corpus", "", "sealed corpus artifact to serve (required)")
+		corpusPath      = flag.String("corpus", "", "sealed corpus to serve: a shard directory or a one-shard file (required)")
 		maxInFlight     = flag.Int("max-inflight", 0, "max concurrently admitted searches (0 = 2x GOMAXPROCS)")
 		retryAfter      = flag.Int("retry-after", 1, "Retry-After seconds sent with 429 responses")
 		queryWorkers    = flag.Int("query-workers", 0, "per-request query-analysis worker budget (0 = GOMAXPROCS)")
 		searchWorkers   = flag.Int("search-workers", 0, "per-request search worker budget (0 = GOMAXPROCS)")
 		allowSwap       = flag.Bool("allow-swap", false, "enable POST /swap?path=... corpus hot-swap")
-		approx          = flag.Bool("approx", false, "default /search to the approximate LSH candidate tier (per-request approx=0/1 overrides)")
 		batchWindow     = flag.Duration("batch-window", 0, "coalesce concurrent same-target searches into one batched pass, waiting this long for followers (0 = off)")
 		shutdownTimeout = flag.Duration("shutdown-timeout", 30*time.Second, "graceful shutdown grace period")
 		traceSample     = flag.Int("trace-sample", 1, "request tracing sample rate: 0 = X-Firmup-Trace-carrying requests only, 1 = all, N = every Nth")
@@ -84,7 +82,6 @@ func main() {
 		RetryAfter:    *retryAfter,
 		QueryWorkers:  *queryWorkers,
 		SearchWorkers: *searchWorkers,
-		Approx:        *approx,
 		BatchWindow:   *batchWindow,
 		Registry:      reg,
 		TraceSample:   *traceSample,
@@ -154,10 +151,9 @@ func openAccessLog(dst string) (*telemetry.Logger, error) {
 	return telemetry.NewLogger(f, telemetry.LevelInfo), nil
 }
 
-// loadCorpus opens one sealed corpus: a v1 artifact (decoded into
-// RAM), a single shard file, or a directory of shards (both
-// mmap-backed and lazily materialized). Prefilter telemetry (index.*
-// and lsh.* metrics) is attached to the corpus before it serves.
+// loadCorpus opens one sealed corpus: a directory of shards or a single
+// shard file, mmap-backed and lazily materialized. Prefilter telemetry
+// (index.* metrics) is attached to the corpus before it serves.
 func loadCorpus(path string, reg *telemetry.Registry) (*serve.Corpus, error) {
 	sc, err := firmup.OpenSealedCorpus(path)
 	if err != nil {
@@ -167,14 +163,12 @@ func loadCorpus(path string, reg *telemetry.Registry) (*serve.Corpus, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	sc.SetTelemetry(reg)
-	if shards := sc.Shards(); shards != nil {
-		mapped := 0
-		for _, sh := range shards {
-			if sh.Mapped {
-				mapped++
-			}
+	mapped := 0
+	for _, sh := range sc.Shards() {
+		if sh.Mapped {
+			mapped++
 		}
-		log.Printf("firmupd: %s: %d shards (%d mmap-backed)", path, len(shards), mapped)
 	}
+	log.Printf("firmupd: %s: %d shards (%d mmap-backed)", path, len(sc.Shards()), mapped)
 	return &serve.Corpus{Name: path, Sealed: sc, LoadedAt: time.Now()}, nil
 }

@@ -191,12 +191,9 @@ func newSessionMetrics(r *telemetry.Registry) *sessionMetrics {
 			BatchQueriesPerTarget: r.Histogram("batch.queries_per_target"),
 		},
 		idx: &corpusindex.Telemetry{
-			Queries:       r.Counter("index.queries"),
-			Fallbacks:     r.Counter("index.fallbacks"),
-			Fanout:        r.Histogram("index.fanout"),
-			LSHProbes:     r.Counter("lsh.probes"),
-			LSHFallbacks:  r.Counter("lsh.fallbacks"),
-			LSHCandidates: r.Histogram("lsh.candidates"),
+			Queries:   r.Counter("index.queries"),
+			Fallbacks: r.Counter("index.fallbacks"),
+			Fanout:    r.Histogram("index.fanout"),
 		},
 		imageOpen:     r.Stage("image.open"),
 		imageUnpack:   r.Stage("image.unpack"),
@@ -316,7 +313,6 @@ type Executable struct {
 	// label for standalone executables).
 	Path string
 	exe  *sim.Exe
-	rec  *cfg.Recovered
 }
 
 // Procedures lists the recovered procedures.
@@ -418,7 +414,7 @@ func (a *Analyzer) analyzeFile(path string, f *obj.File, procWorkers int) (*Exec
 		return nil, fmt.Errorf("firmup: %s: %w", path, err)
 	}
 	bc := &sim.BuildConfig{Cache: a.cache, Workers: procWorkers, Tel: a.simTel()}
-	return &Executable{Path: path, exe: sim.BuildWith(path, rec, a.interner, bc), rec: rec}, nil
+	return &Executable{Path: path, exe: sim.BuildWith(path, rec, a.interner, bc)}, nil
 }
 
 // LoadQueryExecutable analyzes the analyst's query binary (typically
@@ -553,17 +549,6 @@ type Options struct {
 	// search: every executable is examined. Findings are identical; only
 	// the work done differs.
 	Exhaustive bool
-	// Approx gates the candidate set by the MinHash/LSH band buckets
-	// instead of only ordering it: a candidate passing the exact
-	// prefilter floors is examined only if it also shares at least one
-	// signature band with the query procedure, so the expensive game
-	// stage (and, for store-backed corpora, executable materialization)
-	// runs on a strict subset of the exact candidates. Findings become
-	// a subset of the exact search's — only false negatives are
-	// possible, and measured recall on the evaluation corpus stays
-	// ≥ 0.95. Ignored where no signatures are available (the search
-	// silently stays exact), and by Exhaustive.
-	Approx bool
 	// Trace, when set, attaches a request-scoped trace: the search
 	// layers record spans (core search, shard fan-out, store
 	// materialization) into it, parented under TraceSpan (0 = trace
@@ -691,17 +676,8 @@ func (a *Analyzer) imageSearchOptions(img *Image, opt *Options) *core.SearchOpti
 		// facade sets no strand weigher), so both floors prune soundly.
 		minScore, minRatio := s.MinScore, s.MinRatio
 		idx := img.index
-		if opt != nil && opt.Approx {
-			s.Prefilter = func(q *sim.Exe, qpi int, _ []*sim.Exe) ([]int, bool) {
-				return idx.CandidateIndicesLSH(q.Procs[qpi].Set, minScore, minRatio, true, nil)
-			}
-		} else {
-			// The default live path stays on the plain exact prefilter:
-			// it is the baseline the LSH equivalence suites compare the
-			// sealed tiers against.
-			s.Prefilter = func(q *sim.Exe, qpi int, _ []*sim.Exe) ([]int, bool) {
-				return idx.CandidateIndices(q.Procs[qpi].Set, minScore, minRatio, nil)
-			}
+		s.Prefilter = func(q *sim.Exe, qpi int, _ []*sim.Exe) ([]int, bool) {
+			return idx.CandidateIndices(q.Procs[qpi].Set, minScore, minRatio, nil)
 		}
 	}
 	return s

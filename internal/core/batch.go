@@ -194,17 +194,3 @@ func runTargetPass(queries []BatchQuery, t *sim.Exe, ti int, qxs []int, opt *Sea
 		i = j
 	}
 }
-
-// SearchViewBatch runs SearchBatch against a read-only corpus view,
-// installing the view's candidate narrowing as the prefilter — the
-// batched analogue of SearchView. The caller's options are not mutated.
-func SearchViewBatch(queries []BatchQuery, v View, opt *SearchOptions) []SearchResult {
-	var o SearchOptions
-	if opt != nil {
-		o = *opt
-	}
-	o.Prefilter = func(q *sim.Exe, qi int, _ []*sim.Exe) ([]int, bool) {
-		return v.Candidates(q, qi)
-	}
-	return SearchBatch(queries, v.Targets(), &o)
-}

@@ -33,17 +33,6 @@ type Telemetry struct {
 	// Fanout observes the number of candidate executables each answered
 	// query kept after the score floors.
 	Fanout *telemetry.Histogram
-	// LSHProbes counts queries that consulted the MinHash/LSH signature
-	// tier (exact probe-order ranking and approximate bounding alike).
-	LSHProbes *telemetry.Counter
-	// LSHFallbacks counts approximate queries served by the exact
-	// prefilter because the index holds no signature data (e.g. a
-	// pre-signature v2 shard).
-	LSHFallbacks *telemetry.Counter
-	// LSHCandidates observes the LSH-bounded candidate count of each
-	// approximate query — the executables actually examined instead of
-	// the full posting-scan fanout.
-	LSHCandidates *telemetry.Histogram
 }
 
 // Interner assigns dense uint32 IDs to 64-bit strand hashes, first come
@@ -166,24 +155,11 @@ type Index struct {
 	// on the search hot path and must not allocate per query.
 	scratch sync.Pool
 
-	// Per-procedure MinHash signatures in dense-slot order, appended
-	// incrementally by Add (sentinel blocks for un-interned executables)
-	// and consumed by the LSH tier (see lsh.go). The bucket structure is
-	// rebuilt lazily when executables were added since the last build;
-	// lshMu serializes slab repair and bucket builds under the read lock.
-	sigs    []uint32
-	lshMu   sync.Mutex
-	lsh     *lshIndex
-	lshExes int
-
 	// telemetry handles; the struct fields are individually nil-safe, so
 	// recording is unconditional once copied here.
-	telQueries       *telemetry.Counter
-	telFallbacks     *telemetry.Counter
-	telFanout        *telemetry.Histogram
-	telLSHProbes     *telemetry.Counter
-	telLSHFallbacks  *telemetry.Counter
-	telLSHCandidates *telemetry.Histogram
+	telQueries   *telemetry.Counter
+	telFallbacks *telemetry.Counter
+	telFanout    *telemetry.Histogram
 }
 
 // SetTelemetry attaches metric handles to the index. Call it before
@@ -192,15 +168,11 @@ type Index struct {
 func (x *Index) SetTelemetry(tel *Telemetry) {
 	if tel == nil {
 		x.telQueries, x.telFallbacks, x.telFanout = nil, nil, nil
-		x.telLSHProbes, x.telLSHFallbacks, x.telLSHCandidates = nil, nil, nil
 		return
 	}
 	x.telQueries = tel.Queries
 	x.telFallbacks = tel.Fallbacks
 	x.telFanout = tel.Fanout
-	x.telLSHProbes = tel.LSHProbes
-	x.telLSHFallbacks = tel.LSHFallbacks
-	x.telLSHCandidates = tel.LSHCandidates
 }
 
 // NewIndex returns an empty index over the session's interner.
@@ -222,18 +194,6 @@ func (x *Index) Add(e *sim.Exe) int {
 	ei := len(x.exes)
 	x.exes = append(x.exes, e)
 	x.procOff = append(x.procOff, x.procOff[ei]+int32(len(e.Procs)))
-	// Signatures build incrementally with the corpus; the slab stays in
-	// lockstep with procOff so Seal/WriteShards can persist it verbatim.
-	// Un-interned executables contribute sentinel blocks: their foreign
-	// IDs would hash into meaningless buckets, and they are always
-	// candidates anyway.
-	if len(x.sigs) == int(x.procOff[ei])*strand.SigWords {
-		if interned(x.it, e) {
-			x.sigs = append(x.sigs, e.Signatures()...)
-		} else {
-			x.sigs = appendEmptySigs(x.sigs, len(e.Procs))
-		}
-	}
 	for pi, p := range e.Procs {
 		if p.Set.It != strand.Interner(x.it) {
 			continue
@@ -337,12 +297,6 @@ type queryScratch struct {
 	touched []int32     // dense slots bumped by this query
 	exes    []int32     // exe IDs with maxSim > 0 this query
 	cands   []Candidate // the ranked result, reused across queries
-	// LSH probe state (see lsh.go): per-exe band-collision counts with
-	// the same zero-between-queries invariant, the exes touched by the
-	// probe, and the query signature buffer.
-	bandCnt  []int32
-	bandExes []int32
-	qsig     []uint32
 }
 
 // getScratch draws a scratch sized for the current corpus layout. The
@@ -359,70 +313,35 @@ func (x *Index) getScratch() *queryScratch {
 	if len(s.maxSim) < len(x.exes) {
 		s.maxSim = make([]int32, len(x.exes))
 	}
-	if len(s.bandCnt) < len(x.exes) {
-		s.bandCnt = make([]int32, len(x.exes))
-	}
-	if len(s.qsig) < strand.SigWords {
-		s.qsig = make([]uint32, strand.SigWords)
-	}
 	return s
 }
 
 func (x *Index) putScratch(s *queryScratch) {
-	for _, di := range s.touched {
-		s.counts[di] = 0
-	}
-	for _, ei := range s.exes {
-		s.maxSim[ei] = 0
-	}
-	for _, ei := range s.bandExes {
-		s.bandCnt[ei] = 0
-	}
-	s.touched = s.touched[:0]
-	s.exes = s.exes[:0]
-	s.bandExes = s.bandExes[:0]
-	s.cands = s.cands[:0]
+	s.reset()
 	x.scratch.Put(s)
 }
 
-// accumulate runs one ranking query into pooled scratch; the caller owns
-// the returned scratch until putScratch. Callers hold at least a read
-// lock.
-func (x *Index) accumulate(q strand.Set, minScore int, ratioFloor float64) (*queryScratch, bool) {
-	if !strand.Compatible(q.It, x.it) {
-		return nil, false
+// count records one shared strand of dense slot di, a procedure of
+// executable ei: the per-slot count is Sim(q, p) so far, and the
+// per-exe maximum over procedures is the bound the floors apply to.
+func (s *queryScratch) count(di, ei int32) {
+	c := s.counts[di] + 1
+	s.counts[di] = c
+	if c == 1 {
+		s.touched = append(s.touched, di)
 	}
-	s := x.getScratch()
-	x.accumulateInto(s, q, minScore, ratioFloor)
-	return s, true
+	if c > s.maxSim[ei] {
+		if s.maxSim[ei] == 0 {
+			s.exes = append(s.exes, ei)
+		}
+		s.maxSim[ei] = c
+	}
 }
 
-// accumulateInto is accumulate's body over caller-held scratch, so the
-// LSH path can run the posting scan after its bucket probe without a
-// second scratch round-trip. Compatibility is the caller's check.
-func (x *Index) accumulateInto(s *queryScratch, q strand.Set, minScore int, ratioFloor float64) {
-	// Count shared strands per (exe, proc) dense slot; the per-exe
-	// maximum over procedures is the bound the floors apply to.
-	for _, id := range q.IDs {
-		if int(id) >= len(x.post) {
-			continue
-		}
-		for _, p := range x.post[id] {
-			di := x.procOff[p.Exe] + p.Proc
-			c := s.counts[di] + 1
-			s.counts[di] = c
-			if c == 1 {
-				s.touched = append(s.touched, di)
-			}
-			if c > s.maxSim[p.Exe] {
-				if s.maxSim[p.Exe] == 0 {
-					s.exes = append(s.exes, p.Exe)
-				}
-				s.maxSim[p.Exe] = c
-			}
-		}
-	}
-	qsize := len(q.IDs)
+// rank fills cands with the executables whose MaxSim clears the floors
+// for a query of qsize strands, ordered MaxSim descending, executable
+// ID ascending.
+func (s *queryScratch) rank(qsize, minScore int, ratioFloor float64) {
 	if minScore < 1 {
 		minScore = 1
 	}
@@ -436,19 +355,54 @@ func (x *Index) accumulateInto(s *queryScratch, q strand.Set, minScore int, rati
 		}
 		s.cands = append(s.cands, Candidate{Exe: int(ei), MaxSim: c})
 	}
-	// Every executable that never interned (no postings) must still be
-	// examined: the index has no information about it.
-	for ei, e := range x.exes {
-		if !interned(x.it, e) {
-			s.cands = append(s.cands, Candidate{Exe: ei, MaxSim: 0})
-		}
-	}
 	slices.SortFunc(s.cands, func(a, b Candidate) int {
 		if a.MaxSim != b.MaxSim {
 			return b.MaxSim - a.MaxSim
 		}
 		return a.Exe - b.Exe
 	})
+}
+
+// reset restores the zero-between-queries invariant by clearing only
+// the entries the query touched.
+func (s *queryScratch) reset() {
+	for _, di := range s.touched {
+		s.counts[di] = 0
+	}
+	for _, ei := range s.exes {
+		s.maxSim[ei] = 0
+	}
+	s.touched = s.touched[:0]
+	s.exes = s.exes[:0]
+	s.cands = s.cands[:0]
+}
+
+// accumulate runs one ranking query into pooled scratch; the caller owns
+// the returned scratch until putScratch. Callers hold at least a read
+// lock.
+func (x *Index) accumulate(q strand.Set, minScore int, ratioFloor float64) (*queryScratch, bool) {
+	if !strand.Compatible(q.It, x.it) {
+		return nil, false
+	}
+	s := x.getScratch()
+	for _, id := range q.IDs {
+		if int(id) >= len(x.post) {
+			continue
+		}
+		for _, p := range x.post[id] {
+			s.count(x.procOff[p.Exe]+p.Proc, p.Exe)
+		}
+	}
+	s.rank(len(q.IDs), minScore, ratioFloor)
+	// Every executable that never interned (no postings) must still be
+	// examined: the index has no information about it. MaxSim 0 ranks
+	// them last, in executable order, exactly as the sort above would.
+	for ei, e := range x.exes {
+		if !interned(x.it, e) {
+			s.cands = append(s.cands, Candidate{Exe: ei, MaxSim: 0})
+		}
+	}
+	return s, true
 }
 
 // Rows returns the index's non-empty posting rows ordered by strictly

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 
-	"firmup/internal/sim"
 	"firmup/internal/strand"
 	"firmup/internal/telemetry"
 )
@@ -21,64 +20,26 @@ import (
 // fresh ID would require mutation. Query analysis against a sealed
 // corpus must therefore run under a per-request QueryInterner overlay,
 // never under the Frozen itself.
-// A Frozen has two internal lookup representations: a hash map built at
-// seal/load time (map mode), or a binary-searched sorted slab pair
-// handed over from a mapped v2 shard (slab mode, FrozenFromSlabs) that
-// requires no construction work at open. Both are immutable after
-// construction and behave identically.
+//
+// Lookups binary-search a sorted slab pair handed over from a v2 shard
+// (FrozenFromSlabs), so a Frozen needs no construction work at open.
 type Frozen struct {
-	vocab []uint64          // dense ID -> hash
-	ids   map[uint64]uint32 // hash -> dense ID (map mode); nil in slab mode
-	// Slab mode: hashes ascending with the parallel dense IDs, typically
-	// aliasing a mapped shard section.
+	vocab []uint64 // dense ID -> hash
+	// Hashes ascending with the parallel dense IDs, typically aliasing a
+	// mapped shard section.
 	sortedHashes []uint64
 	sortedIDs    []uint32
 }
 
-// Freeze seals the interner's current vocabulary into an immutable
-// Frozen. The live interner keeps working afterwards; IDs it assigns
-// from then on are outside the frozen vocabulary.
-func (it *Interner) Freeze() *Frozen {
-	it.mu.RLock()
-	defer it.mu.RUnlock()
-	f := &Frozen{
-		vocab: make([]uint64, len(it.ids)),
-		ids:   make(map[uint64]uint32, len(it.ids)),
-	}
-	for h, id := range it.ids {
-		f.vocab[id] = h
-		f.ids[h] = id
-	}
-	return f
-}
-
-// FrozenFromVocab reconstructs a Frozen from a serialized vocabulary
-// (dense ID → hash, as persisted by a sealed-corpus artifact). A
-// vocabulary with duplicate hashes is rejected: it cannot have been
-// produced by an interner and would make lookups ambiguous.
-func FrozenFromVocab(vocab []uint64) (*Frozen, error) {
-	f := &Frozen{
-		vocab: slices.Clone(vocab),
-		ids:   make(map[uint64]uint32, len(vocab)),
-	}
-	for id, h := range f.vocab {
-		if _, dup := f.ids[h]; dup {
-			return nil, fmt.Errorf("corpusindex: frozen vocabulary has duplicate hash %#x", h)
-		}
-		f.ids[h] = uint32(id)
-	}
-	return f, nil
-}
-
 // FrozenFromSlabs constructs a Frozen directly over foreign memory: the
 // vocabulary (dense ID → hash) plus a sorted-hash slab with its
-// parallel dense IDs, as persisted by a v2 shard. Unlike
-// FrozenFromVocab nothing is cloned and no map is built — lookups
-// binary-search the sorted slab — so opening a paper-scale vocabulary
-// costs validation only. The slices must stay valid and unmodified for
-// the Frozen's lifetime. Validation: equal lengths, strictly increasing
-// hashes, and every (hash, id) pair agreeing with the vocabulary —
-// which together prove the slab is exactly the vocabulary re-sorted.
+// parallel dense IDs, as persisted by a v2 shard. Nothing is cloned and
+// no map is built — lookups binary-search the sorted slab — so opening
+// a paper-scale vocabulary costs validation only. The slices must stay
+// valid and unmodified for the Frozen's lifetime. Validation: equal
+// lengths, strictly increasing hashes, and every (hash, id) pair
+// agreeing with the vocabulary — which together prove the slab is
+// exactly the vocabulary re-sorted.
 func FrozenFromSlabs(vocab []uint64, sortedHashes []uint64, sortedIDs []uint32) (*Frozen, error) {
 	if len(sortedHashes) != len(vocab) || len(sortedIDs) != len(vocab) {
 		return nil, fmt.Errorf("corpusindex: sorted vocabulary slabs hold %d+%d entries, vocabulary holds %d", len(sortedHashes), len(sortedIDs), len(vocab))
@@ -105,10 +66,6 @@ func (f *Frozen) Vocab() []uint64 { return f.vocab }
 // Lookup returns the dense ID of h and whether h is in the vocabulary.
 // It performs no locking and no allocation.
 func (f *Frozen) Lookup(h uint64) (uint32, bool) {
-	if f.ids != nil {
-		id, ok := f.ids[h]
-		return id, ok
-	}
 	i, ok := slices.BinarySearch(f.sortedHashes, h)
 	if !ok {
 		return 0, false
@@ -200,124 +157,46 @@ func (q *QueryInterner) InternAll(hashes []uint64, out []uint32) []uint32 {
 }
 
 // FrozenIndex is the sealed, read-only form of a corpus-level inverted
-// index: the posting lists of an Index flattened into one CSR slab over
-// a Frozen vocabulary. It answers the same candidate-ranking queries as
-// Index — with the identical ranking and the identical soundness
-// contract — but holds no lock and supports no mutation, so unlimited
-// concurrent readers share it freely. The only shared structure the
-// query path touches is a sync.Pool of scratch accumulators, which is
-// race-safe by construction and carries no corpus state between
-// queries.
-// A FrozenIndex holds its postings in one of two CSR representations:
-// dense (rowStart spans the whole vocabulary, built by NewFrozenIndex
-// from in-RAM rows) or sparse (only the non-empty rows, as rowIDs /
-// rowEnds slabs typically aliasing a mapped v2 shard, built by
-// NewFrozenIndexForeign with no per-row allocation). Queries walk
-// either form to the identical ranking.
+// index: the non-empty posting rows of an Index as a sparse CSR over a
+// Frozen vocabulary — rowIDs / rowEnds / posts slabs, typically
+// aliasing a mapped v2 shard (NewFrozenIndexForeign). It answers the
+// same candidate-ranking queries as Index — with the identical ranking
+// and the identical soundness contract — but holds no lock and supports
+// no mutation, so unlimited concurrent readers share it freely. The
+// only shared structure the query path touches is a sync.Pool of
+// scratch accumulators, which is race-safe by construction and carries
+// no corpus state between queries.
 type FrozenIndex struct {
 	it    *Frozen
 	nexes int
-	// exes are the sealed executables (dense mode); nil in foreign mode,
-	// where the index exists before any executable is materialized.
-	exes []*sim.Exe
-	// Dense CSR: posts[rowStart[id]:rowStart[id+1]] lists the
-	// (executable, procedure) postings of dense strand ID id. Nil in
-	// sparse mode.
-	rowStart []int32
-	// Sparse CSR: rowIDs are the non-empty rows' strand IDs ascending;
-	// row i's postings are posts[rowEnds[i-1]:rowEnds[i]] (rowEnds[-1]
-	// taken as 0). Nil in dense mode.
+	// rowIDs are the non-empty rows' strand IDs ascending; row i's
+	// postings are posts[rowEnds[i-1]:rowEnds[i]] (rowEnds[-1] taken as
+	// 0).
 	rowIDs  []uint32
 	rowEnds []uint32
 	posts   []Posting
 	// procOff are prefix sums of per-executable procedure counts, as in
 	// Index.
 	procOff []int32
-	// extra lists executables with no postings under the frozen
-	// vocabulary (not sealed under it); they are always candidates, as in
-	// Index.Candidates. Always nil in foreign mode: a persisted shard
-	// only ever holds executables sealed under its own vocabulary.
-	extra []int
 
 	scratch sync.Pool
 
-	// Per-procedure MinHash signature slab (dense-slot order) and the
-	// banded bucket structure built over it on first LSH query. sigs is
-	// attached by SetSignatures (Seal, or a mapped corpus-sigs shard
-	// section) or derived lazily from in-RAM executables; a foreign
-	// index without a slab has no LSH tier (lsh stays nil) and serves
-	// exact rankings only.
-	sigs    []uint32
-	lshOnce sync.Once
-	lsh     *lshIndex
-
-	telQueries       *telemetry.Counter
-	telFallbacks     *telemetry.Counter
-	telFanout        *telemetry.Histogram
-	telLSHProbes     *telemetry.Counter
-	telLSHFallbacks  *telemetry.Counter
-	telLSHCandidates *telemetry.Histogram
-}
-
-// NewFrozenIndex builds a sealed index over the frozen vocabulary from
-// serialized rows (Index.Rows or a decoded artifact) and the sealed
-// executables in their original insertion order. Posting data is copied
-// into the index's own flat slab, so the result shares no mutable state
-// with its source. Rows must be ordered by strictly increasing ID
-// within the vocabulary; violations are rejected.
-func NewFrozenIndex(it *Frozen, exes []*sim.Exe, rows []Row) (*FrozenIndex, error) {
-	x := &FrozenIndex{it: it, exes: exes, nexes: len(exes)}
-	x.procOff = make([]int32, len(exes)+1)
-	for i, e := range exes {
-		x.procOff[i+1] = x.procOff[i] + int32(len(e.Procs))
-		if len(e.Procs) > 0 && !strand.Compatible(e.Procs[0].Set.It, it) {
-			x.extra = append(x.extra, i)
-		}
-	}
-	total := 0
-	for _, r := range rows {
-		total += len(r.Posts)
-	}
-	x.rowStart = make([]int32, len(it.vocab)+1)
-	x.posts = make([]Posting, 0, total)
-	next := uint32(0)
-	for ri, r := range rows {
-		if ri > 0 && r.ID <= rows[ri-1].ID {
-			return nil, fmt.Errorf("corpusindex: frozen index rows not strictly increasing at row %d", ri)
-		}
-		if int(r.ID) >= len(it.vocab) {
-			return nil, fmt.Errorf("corpusindex: frozen index row ID %d outside the %d-entry vocabulary", r.ID, len(it.vocab))
-		}
-		for ; next <= r.ID; next++ {
-			x.rowStart[next] = int32(len(x.posts))
-		}
-		for _, p := range r.Posts {
-			if int(p.Exe) >= len(exes) || p.Exe < 0 {
-				return nil, fmt.Errorf("corpusindex: frozen index posting references executable %d of %d", p.Exe, len(exes))
-			}
-			if int(p.Proc) >= len(exes[p.Exe].Procs) || p.Proc < 0 {
-				return nil, fmt.Errorf("corpusindex: frozen index posting references procedure %d of %d", p.Proc, len(exes[p.Exe].Procs))
-			}
-		}
-		x.posts = append(x.posts, r.Posts...)
-	}
-	for ; int(next) <= len(it.vocab); next++ {
-		x.rowStart[next] = int32(len(x.posts))
-	}
-	return x, nil
+	telQueries   *telemetry.Counter
+	telFallbacks *telemetry.Counter
+	telFanout    *telemetry.Histogram
 }
 
 // NewFrozenIndexForeign builds a sealed index directly over foreign CSR
-// slabs — the row-ID, row-end and posting sections of a mapped v2 shard
-// — without copying them or densifying rows across the vocabulary. The
+// slabs — the row-ID, row-end and posting sections of a v2 shard —
+// without copying them or densifying rows across the vocabulary. The
 // executables themselves need not exist yet: procCounts stands in for
 // them, so a shard's index is queryable before (and without) any
 // executable materialization. The slabs must stay valid and unmodified
 // for the index's lifetime.
 //
-// Validation matches NewFrozenIndex: strictly increasing in-vocabulary
-// row IDs, nondecreasing row ends terminating at len(posts), and every
-// posting inside [0, len(procCounts)) x [0, procCounts[exe]).
+// Validation: strictly increasing in-vocabulary row IDs, nondecreasing
+// row ends terminating at len(posts), and every posting inside
+// [0, len(procCounts)) x [0, procCounts[exe]).
 func NewFrozenIndexForeign(it *Frozen, procCounts []int32, rowIDs, rowEnds []uint32, posts []Posting) (*FrozenIndex, error) {
 	x := &FrozenIndex{it: it, nexes: len(procCounts), rowIDs: rowIDs, rowEnds: rowEnds, posts: posts}
 	x.procOff = make([]int32, len(procCounts)+1)
@@ -363,15 +242,11 @@ func NewFrozenIndexForeign(it *Frozen, procCounts []int32, rowIDs, rowEnds []uin
 func (x *FrozenIndex) SetTelemetry(tel *Telemetry) {
 	if tel == nil {
 		x.telQueries, x.telFallbacks, x.telFanout = nil, nil, nil
-		x.telLSHProbes, x.telLSHFallbacks, x.telLSHCandidates = nil, nil, nil
 		return
 	}
 	x.telQueries = tel.Queries
 	x.telFallbacks = tel.Fallbacks
 	x.telFanout = tel.Fanout
-	x.telLSHProbes = tel.LSHProbes
-	x.telLSHFallbacks = tel.LSHFallbacks
-	x.telLSHCandidates = tel.LSHCandidates
 }
 
 // Interner returns the frozen vocabulary the index is keyed by.
@@ -383,29 +258,6 @@ func (x *FrozenIndex) Len() int { return x.nexes }
 // Postings reports the total number of (strand, executable, procedure)
 // postings held.
 func (x *FrozenIndex) Postings() int { return len(x.posts) }
-
-// Rows returns the index's non-empty posting rows ordered by strictly
-// increasing dense strand ID — the serialized form a sealed-corpus
-// artifact persists. Posting slices alias the index's slab; callers
-// must treat them as read-only.
-func (x *FrozenIndex) Rows() []Row {
-	var out []Row
-	if x.rowStart == nil {
-		lo := uint32(0)
-		for i, id := range x.rowIDs {
-			hi := x.rowEnds[i]
-			out = append(out, Row{ID: id, Posts: x.posts[lo:hi]})
-			lo = hi
-		}
-		return out
-	}
-	for id := 0; id < len(x.rowStart)-1; id++ {
-		if x.rowStart[id] < x.rowStart[id+1] {
-			out = append(out, Row{ID: uint32(id), Posts: x.posts[x.rowStart[id]:x.rowStart[id+1]]})
-		}
-	}
-	return out
-}
 
 // Candidates is Index.Candidates over the sealed postings: identical
 // ranking, identical soundness, no locks.
@@ -449,114 +301,41 @@ func (x *FrozenIndex) getScratch() *queryScratch {
 	if len(s.maxSim) < x.nexes {
 		s.maxSim = make([]int32, x.nexes)
 	}
-	if len(s.bandCnt) < x.nexes {
-		s.bandCnt = make([]int32, x.nexes)
-	}
-	if len(s.qsig) < strand.SigWords {
-		s.qsig = make([]uint32, strand.SigWords)
-	}
 	return s
 }
 
 func (x *FrozenIndex) putScratch(s *queryScratch) {
-	for _, di := range s.touched {
-		s.counts[di] = 0
-	}
-	for _, ei := range s.exes {
-		s.maxSim[ei] = 0
-	}
-	for _, ei := range s.bandExes {
-		s.bandCnt[ei] = 0
-	}
-	s.touched = s.touched[:0]
-	s.exes = s.exes[:0]
-	s.bandExes = s.bandExes[:0]
-	s.cands = s.cands[:0]
+	s.reset()
 	x.scratch.Put(s)
 }
 
-// scanPosts accumulates one posting row into the scratch counters —
-// the shared inner loop of both CSR representations.
-func (x *FrozenIndex) scanPosts(s *queryScratch, posts []Posting) {
-	for _, p := range posts {
-		di := x.procOff[p.Exe] + p.Proc
-		c := s.counts[di] + 1
-		s.counts[di] = c
-		if c == 1 {
-			s.touched = append(s.touched, di)
-		}
-		if c > s.maxSim[p.Exe] {
-			if s.maxSim[p.Exe] == 0 {
-				s.exes = append(s.exes, p.Exe)
-			}
-			s.maxSim[p.Exe] = c
-		}
-	}
-}
-
-// accumulate mirrors Index.accumulate over the CSR slab. Query sets
+// accumulate mirrors Index.accumulate over the CSR slabs. Query sets
 // must be interned under the frozen vocabulary or an overlay of it
 // (strand.Compatible); overlay-private IDs lie above the vocabulary and
-// fall out of the bounds check, exactly like a live session's
-// posting-free fresh IDs.
+// match no row, exactly like a live session's posting-free fresh IDs.
 func (x *FrozenIndex) accumulate(q strand.Set, minScore int, ratioFloor float64) (*queryScratch, bool) {
 	if !strand.Compatible(q.It, x.it) {
 		return nil, false
 	}
 	s := x.getScratch()
-	x.accumulateInto(s, q, minScore, ratioFloor)
+	// Both q.IDs and rowIDs are strictly increasing, so one forward
+	// binary-search cursor visits each matching row once.
+	ri := 0
+	for _, id := range q.IDs {
+		j, ok := slices.BinarySearch(x.rowIDs[ri:], id)
+		ri += j
+		if !ok {
+			continue
+		}
+		lo := uint32(0)
+		if ri > 0 {
+			lo = x.rowEnds[ri-1]
+		}
+		for _, p := range x.posts[lo:x.rowEnds[ri]] {
+			s.count(x.procOff[p.Exe]+p.Proc, p.Exe)
+		}
+		ri++
+	}
+	s.rank(len(q.IDs), minScore, ratioFloor)
 	return s, true
-}
-
-// accumulateInto is accumulate's body over caller-held scratch (see
-// Index.accumulateInto). Compatibility is the caller's check.
-func (x *FrozenIndex) accumulateInto(s *queryScratch, q strand.Set, minScore int, ratioFloor float64) {
-	if x.rowStart == nil {
-		// Sparse CSR: both q.IDs and rowIDs are strictly increasing, so
-		// one forward binary-search cursor visits each matching row once.
-		ri := 0
-		for _, id := range q.IDs {
-			j, ok := slices.BinarySearch(x.rowIDs[ri:], id)
-			ri += j
-			if !ok {
-				continue
-			}
-			lo := uint32(0)
-			if ri > 0 {
-				lo = x.rowEnds[ri-1]
-			}
-			x.scanPosts(s, x.posts[lo:x.rowEnds[ri]])
-			ri++
-		}
-	} else {
-		for _, id := range q.IDs {
-			if int(id) >= len(x.rowStart)-1 {
-				continue
-			}
-			x.scanPosts(s, x.posts[x.rowStart[id]:x.rowStart[id+1]])
-		}
-	}
-	qsize := len(q.IDs)
-	if minScore < 1 {
-		minScore = 1
-	}
-	for _, ei := range s.exes {
-		c := int(s.maxSim[ei])
-		if c < minScore {
-			continue
-		}
-		if ratioFloor > 0 && qsize > 0 && float64(c)/float64(qsize) < ratioFloor {
-			continue
-		}
-		s.cands = append(s.cands, Candidate{Exe: int(ei), MaxSim: c})
-	}
-	for _, ei := range x.extra {
-		s.cands = append(s.cands, Candidate{Exe: ei, MaxSim: 0})
-	}
-	slices.SortFunc(s.cands, func(a, b Candidate) int {
-		if a.MaxSim != b.MaxSim {
-			return b.MaxSim - a.MaxSim
-		}
-		return a.Exe - b.Exe
-	})
 }

@@ -68,11 +68,6 @@ type Config struct {
 	SearchWorkers int
 	// MaxQueryBytes bounds the accepted /search body (default 64 MiB).
 	MaxQueryBytes int64
-	// Approx selects the approximate LSH candidate tier as the default
-	// probe mode for /search requests (firmup.Options.Approx). A request
-	// overrides it with the approx=0/1 query parameter. Corpora without
-	// signature slabs serve exact searches regardless.
-	Approx bool
 	// BatchWindow, when positive, coalesces concurrent /search requests:
 	// the first request for a (corpus, image, options) key waits this
 	// long collecting followers, then runs all collected queries in one
@@ -673,18 +668,8 @@ func queryProcIndex(query *firmup.Executable, proc string) int {
 // searchOptions builds the per-request search options from the URL
 // parameters, bounded by the server's worker budget.
 func searchOptions(r *http.Request, cfg *Config) (*firmup.Options, error) {
-	opt := &firmup.Options{Workers: cfg.SearchWorkers, Approx: cfg.Approx}
+	opt := &firmup.Options{Workers: cfg.SearchWorkers}
 	q := r.URL.Query()
-	if v := q.Get("approx"); v != "" {
-		switch v {
-		case "1", "true":
-			opt.Approx = true
-		case "0", "false":
-			opt.Approx = false
-		default:
-			return nil, fmt.Errorf("bad approx %q", v)
-		}
-	}
 	if v := q.Get("min_score"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
@@ -699,8 +684,12 @@ func searchOptions(r *http.Request, cfg *Config) (*firmup.Options, error) {
 		}
 		opt.MinRatio = f
 	}
-	if v := q.Get("exhaustive"); v == "1" || v == "true" {
+	switch v := q.Get("exhaustive"); v {
+	case "", "0", "false":
+	case "1", "true":
 		opt.Exhaustive = true
+	default:
+		return nil, fmt.Errorf("bad exhaustive %q", v)
 	}
 	return opt, nil
 }
@@ -729,8 +718,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
-// CorpusInfo is the /corpus response schema. Shards is present only
-// when the serving corpus is backed by FWCORP v2 shard files.
+// CorpusInfo is the /corpus response schema. Shards lists the FWCORP
+// v2 shards backing the serving corpus.
 type CorpusInfo struct {
 	Name          string               `json:"name"`
 	Images        int                  `json:"images"`

@@ -138,6 +138,16 @@ func TestServeRequestErrors(t *testing.T) {
 	if resp, _ := postSearch(t, ts.URL+"/search?proc=x&min_ratio=2", query); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad min_ratio status %d, want 400", resp.StatusCode)
 	}
+	for _, bad := range []string{"yes", "2", "TRUE", "on"} {
+		if resp, _ := postSearch(t, ts.URL+"/search?proc=ftp_retrieve_glob&exhaustive="+bad, query); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("exhaustive=%s status %d, want 400", bad, resp.StatusCode)
+		}
+	}
+	for _, good := range []string{"0", "1", "true", "false"} {
+		if resp, _ := postSearch(t, ts.URL+"/search?proc=ftp_retrieve_glob&exhaustive="+good, query); resp.StatusCode != http.StatusOK {
+			t.Errorf("exhaustive=%s status %d, want 200", good, resp.StatusCode)
+		}
+	}
 	if resp, _ := postSearch(t, ts.URL+"/search?proc=x", []byte("not an executable")); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage query status %d, want 400", resp.StatusCode)
 	}

@@ -78,31 +78,6 @@ type Exe struct {
 
 	nameOnce sync.Once
 	names    map[string]int
-
-	// Per-procedure MinHash signatures over the interned strand IDs,
-	// computed lazily once per executable (flat, strand.SigWords per
-	// procedure). Meaningful only in session mode: they feed the
-	// corpusindex LSH tier, which never consults them for executables
-	// interned under a foreign session.
-	sigOnce sync.Once
-	sigs    []uint32
-}
-
-// Signatures returns the flat per-procedure MinHash signature slab of
-// the executable: len(Procs)*strand.SigWords words, procedure i's
-// signature at [i*strand.SigWords : (i+1)*strand.SigWords]. Signatures
-// are a pure function of each procedure's interned IDs, so rebased
-// copies (Rebound) and snapshot round-trips that preserve IDs produce
-// identical slabs.
-func (e *Exe) Signatures() []uint32 {
-	e.sigOnce.Do(func() {
-		sigs := make([]uint32, len(e.Procs)*strand.SigWords)
-		for i, p := range e.Procs {
-			strand.MinHashInto(sigs[i*strand.SigWords:(i+1)*strand.SigWords], p.Set.IDs)
-		}
-		e.sigs = sigs
-	})
-	return e.sigs
 }
 
 // BuildConfig tunes BuildWith for analyzer sessions. The zero value
@@ -260,34 +235,6 @@ func FromProcsSession(path string, procs []*Proc, it strand.Interner) *Exe {
 // Session returns the analyzer session the executable was built under,
 // or nil.
 func (e *Exe) Session() strand.Interner { return e.it }
-
-// Rebound returns a copy of the executable bound to a different session
-// interner without re-interning: the CSR posting lists and every
-// procedure's slice data (hashes, IDs, markers, call graph) are shared
-// with the receiver, but the Proc structs are fresh so the copy's sets
-// carry it as their session. The caller guarantees it assigns the same
-// dense ID to every hash the receiver's session did — the contract a
-// frozen snapshot of the live interner satisfies by construction.
-// Lazily-built caches (hash index, name map) are not carried over; the
-// copy rebuilds its own on first use.
-func (e *Exe) Rebound(it strand.Interner) *Exe {
-	out := &Exe{
-		Path:     e.Path,
-		Arch:     e.Arch,
-		Stripped: e.Stripped,
-		it:       it,
-		ids:      e.ids,
-		start:    e.start,
-		procs:    e.procs,
-	}
-	out.Procs = make([]*Proc, len(e.Procs))
-	for i, p := range e.Procs {
-		cp := *p
-		cp.Set.It = it
-		out.Procs[i] = &cp
-	}
-	return out
-}
 
 func (e *Exe) buildIndex(it strand.Interner) {
 	e.it = it

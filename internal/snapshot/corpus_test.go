@@ -54,18 +54,29 @@ func testCorpus() *Corpus {
 	}
 }
 
+// mustEncodeCorpus encodes c as the single shard of a one-shard corpus.
 func mustEncodeCorpus(t *testing.T, c *Corpus) []byte {
 	t.Helper()
-	b, err := EncodeCorpus(c)
-	if err != nil {
-		t.Fatal(err)
+	return mustEncodeShard(t, c, ShardHeader{ShardCount: 1, TotalImages: len(c.Images)})
+}
+
+// decodeCorpus opens a one-shard corpus, walks every accessor and
+// returns the encoder-side model it holds.
+func decodeCorpus(t *testing.T, data []byte) (*Corpus, error) {
+	t.Helper()
+	s, err := OpenCorpusShardBytes(data)
+	if err == nil {
+		err = touchShard(s)
 	}
-	return b
+	if err != nil {
+		return nil, err
+	}
+	return shardToCorpus(t, s), nil
 }
 
 func TestCorpusRoundTrip(t *testing.T) {
 	want := testCorpus()
-	got, err := DecodeCorpus(mustEncodeCorpus(t, want))
+	got, err := decodeCorpus(t, mustEncodeCorpus(t, want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +91,7 @@ func TestCorpusRoundTripEmptyIndex(t *testing.T) {
 	// indexed". The flag byte must preserve the distinction.
 	want := testCorpus()
 	want.Images[0].Index = []IndexRow{}
-	got, err := DecodeCorpus(mustEncodeCorpus(t, want))
+	got, err := decodeCorpus(t, mustEncodeCorpus(t, want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +105,7 @@ func TestCorpusRoundTripEmptyIndex(t *testing.T) {
 
 func TestCorpusRoundTripEmpty(t *testing.T) {
 	want := &Corpus{}
-	got, err := DecodeCorpus(mustEncodeCorpus(t, want))
+	got, err := decodeCorpus(t, mustEncodeCorpus(t, want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,26 +115,47 @@ func TestCorpusRoundTripEmpty(t *testing.T) {
 }
 
 func TestCorpusEncodeRejectsInvalid(t *testing.T) {
+	hdr := ShardHeader{ShardCount: 1, TotalImages: 2}
 	// An ID outside the vocabulary must be rejected at encode time.
 	c := testCorpus()
 	c.Images[0].Exes[0].Procs[0].IDs = []uint32{99}
-	if _, err := EncodeCorpus(c); err == nil {
+	if _, err := EncodeCorpusShard(c, hdr); err == nil {
 		t.Error("out-of-vocabulary ID encoded successfully")
 	}
 	// An index posting pointing past the image's executables likewise.
 	c = testCorpus()
 	c.Images[0].Index[0].Posts[0].Exe = 9
-	if _, err := EncodeCorpus(c); err == nil {
+	if _, err := EncodeCorpusShard(c, hdr); err == nil {
 		t.Error("out-of-range index posting encoded successfully")
 	}
 }
 
+// TestCorpusDecodeCorruption flips one bit in every byte the container
+// covers — header, section table and every section payload, skipping
+// only the zero padding between aligned sections — and requires the
+// open-plus-walk sequence to fail wrapping ErrCorrupt.
 func TestCorpusDecodeCorruption(t *testing.T) {
 	blob := mustEncodeCorpus(t, testCorpus())
-	for off := 0; off < len(blob); off++ {
+	table, err := parseCorpusV2Table(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	covered := make([]bool, len(blob))
+	for off := 0; off < headerSize+len(table)*tableEntrySize; off++ {
+		covered[off] = true
+	}
+	for _, e := range table {
+		for off := e.off; off < e.off+e.length; off++ {
+			covered[off] = true
+		}
+	}
+	for off := range blob {
+		if !covered[off] {
+			continue
+		}
 		bad := append([]byte(nil), blob...)
 		bad[off] ^= 0x01
-		if _, err := DecodeCorpus(bad); err == nil {
+		if _, err := decodeCorpus(t, bad); err == nil {
 			t.Errorf("bit flip at offset %d decoded successfully", off)
 		} else if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("bit flip at offset %d: error does not wrap ErrCorrupt: %v", off, err)
@@ -134,24 +166,24 @@ func TestCorpusDecodeCorruption(t *testing.T) {
 func TestCorpusDecodeTruncation(t *testing.T) {
 	blob := mustEncodeCorpus(t, testCorpus())
 	for n := 0; n < len(blob); n += 17 {
-		if _, err := DecodeCorpus(blob[:n]); err == nil {
+		if _, err := decodeCorpus(t, blob[:n]); err == nil {
 			t.Errorf("truncation to %d bytes decoded successfully", n)
 		}
 	}
 }
 
 func TestCorpusRejectsImageSnapshot(t *testing.T) {
-	// A per-image FWSNAP artifact must not decode as a corpus (different
-	// magic), and vice versa.
+	// A per-image FWSNAP artifact must not open as a corpus shard
+	// (different magic), and vice versa.
 	img := testModel()
 	blob, err := Encode(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeCorpus(blob); err == nil {
-		t.Error("image snapshot decoded as corpus")
+	if _, err := OpenCorpusShardBytes(blob); err == nil {
+		t.Error("image snapshot opened as corpus shard")
 	}
 	if _, err := Decode(mustEncodeCorpus(t, testCorpus())); err == nil {
-		t.Error("corpus decoded as image snapshot")
+		t.Error("corpus shard decoded as image snapshot")
 	}
 }

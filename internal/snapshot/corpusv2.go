@@ -11,24 +11,24 @@ import (
 	"sync"
 )
 
-// FWCORP version 2 is the mmap-oriented sealed-corpus layout. Version 1
-// (corpus.go) optimizes for a compact stream: varints, delta-encoded ID
-// runs, one decode pass that materializes everything. Version 2
-// optimizes for retrieval: every bulk payload is a fixed-width
-// little-endian slab in a 64-byte-aligned section, so a mapped shard is
-// queryable without a decode pass — the executable table, the
-// procedure table, the strand-ID / marker / call slabs, and the CSR
-// inverted-index (row IDs, row ends, postings) are all usable directly
-// from the mapped bytes. Integrity moves from open time to first touch:
-// only the small meta section is CRC-verified at open; every other
-// section is verified once, the first time an accessor needs it, so
-// opening a multi-gigabyte shard costs O(pages touched), not O(bytes).
+// FWCORP version 2 is the sealed-corpus layout, and the only one this
+// package reads or writes. It optimizes for retrieval: every bulk
+// payload is a fixed-width little-endian slab in a 64-byte-aligned
+// section, so a mapped shard is queryable without a decode pass — the
+// executable table, the procedure table, the strand-ID / marker / call
+// slabs, and the CSR inverted-index (row IDs, row ends, postings) are
+// all usable directly from the mapped bytes. Integrity moves from open
+// time to first touch: only the small meta section is CRC-verified at
+// open; every other section is verified once, the first time an
+// accessor needs it, so opening a multi-gigabyte shard costs O(pages
+// touched), not O(bytes).
 //
 // A v2 file is one SHARD of a sealed corpus: a contiguous range of
-// images sharing the corpus-wide frozen vocabulary. The shard header
-// (inside the meta section) records its position — shard index/count,
-// first global image index, total image count — so a directory of
-// shards can be validated as one coherent corpus at open.
+// images sharing the corpus-wide frozen vocabulary; an unsharded corpus
+// is a set of one shard. The shard header (inside the meta section)
+// records its position — shard index/count, first global image index,
+// total image count — so a directory of shards can be validated as one
+// coherent corpus at open.
 //
 // Layout:
 //
@@ -50,35 +50,49 @@ import (
 //	corpus-index-table  nImages x 32 B        per-image CSR extents
 //	corpus-index-rows   rows x u32 row IDs, then rows x u32 row ends
 //	corpus-index-posts  posts x (exe u32 | proc u32)
-//	corpus-sigs         totalProcs x CorpusSigWords x u32   (v3 only)
 
 // CorpusFormatVersionV2 is the sharded mmap-friendly sealed-corpus
 // layout version.
 const CorpusFormatVersionV2 = 2
 
-// CorpusFormatVersionV3 is v2 plus the corpus-sigs section: one
-// fixed-width MinHash signature per procedure, served zero-copy like
-// the CSR postings so the LSH candidate tier needs no materialization.
-// The opener reads both versions; a v2 shard simply has no signatures
-// and sealed corpora built from it fall back to the exact prefilter.
-const CorpusFormatVersionV3 = 3
+// corpusMagic opens every sealed-corpus shard. Same length as the image
+// snapshot magic, so the two containers share header arithmetic while
+// remaining mutually unreadable.
+const corpusMagic = "FWCORP\r\n"
 
-// CorpusSigWords is the per-procedure signature width of the
-// corpus-sigs slab, in uint32 words. It must equal strand.SigWords
-// (compile-time asserted at the consumer); changing either is a format
-// break requiring a version bump.
-const CorpusSigWords = 64
+// Corpus is the serialized form of (one shard of) a sealed corpus: the
+// frozen vocabulary shared by every image, and the images themselves.
+// Like Image it is a plain data model; the firmup layer converts to and
+// from sealed session state.
+type Corpus struct {
+	// Interner is the frozen vocabulary ordered by dense ID. Every
+	// Proc.IDs and IndexRow.ID of every image indexes into it.
+	Interner []uint64
+	Images   []CorpusImage
+}
+
+// CorpusImage is one image of a sealed corpus. Unlike the standalone
+// Image model it carries no vocabulary of its own.
+type CorpusImage struct {
+	Vendor  string
+	Device  string
+	Version string
+	Skipped []Skip
+	Exes    []Exe
+	// Index holds the image's inverted-index rows over the corpus
+	// vocabulary, or nil when the image was sealed without one.
+	Index []IndexRow
+}
 
 // v2Align is the section payload alignment: one cache line, and enough
 // for any slab element type, so zero-copy casts are always aligned.
 const v2Align = 64
 
-// maxSectionsV2 bounds the section table of a v2 shard. Larger than the
-// v1 bound to leave tag space for additive sections.
+// maxSectionsV2 bounds the section table of a v2 shard.
 const maxSectionsV2 = 32
 
-// v2 section tags (disjoint from the v1 corpus tag space so a tag error
-// is never a silent misread).
+// v2 section tags (disjoint from the image snapshot's tag space so a tag
+// error is never a silent misread).
 const (
 	secV2Meta        = 16
 	secV2Vocab       = 17
@@ -92,7 +106,6 @@ const (
 	secV2IdxTab      = 25
 	secV2IdxRows     = 26
 	secV2IdxPosts    = 27
-	secV2Sigs        = 28 // v3 only
 )
 
 // Fixed record sizes.
@@ -134,33 +147,13 @@ func v2SectionName(tag uint32) string {
 		return "corpus-index-rows"
 	case secV2IdxPosts:
 		return "corpus-index-posts"
-	case secV2Sigs:
-		return "corpus-sigs"
 	}
 	return fmt.Sprintf("unknown(%d)", tag)
 }
 
-// v2NumSections is the section-slot count of an open shard — the full
-// v3 tag range; a v2 shard leaves the corpus-sigs slot empty.
-const v2NumSections = 13
-
-var v2SectionTags = []uint32{
-	secV2Meta, secV2Vocab, secV2VocabSorted, secV2Strs,
-	secV2ExeTab, secV2ProcTab, secV2IDs, secV2Markers, secV2Calls,
-	secV2IdxTab, secV2IdxRows, secV2IdxPosts,
-}
-
-var v3SectionTags = append(append([]uint32(nil), v2SectionTags...), secV2Sigs)
-
-// sectionTagsFor returns the exact required (and allowed) tag set of a
-// format version: a v2 shard carrying a corpus-sigs section is as
-// corrupt as a v3 shard missing one.
-func sectionTagsFor(version uint32) []uint32 {
-	if version == CorpusFormatVersionV3 {
-		return v3SectionTags
-	}
-	return v2SectionTags
-}
+// v2NumSections is the section count of a shard: every tag from
+// secV2Meta through secV2IdxPosts, each present exactly once.
+const v2NumSections = secV2IdxPosts - secV2Meta + 1
 
 // ShardHeader locates one shard inside a sharded sealed corpus.
 type ShardHeader struct {
@@ -174,25 +167,13 @@ type ShardHeader struct {
 	TotalImages int
 }
 
-// CorpusVersion sniffs the format version of a sealed-corpus artifact
-// without decoding it, so callers can dispatch between the v1 decode
-// path and the v2 shard open path.
-func CorpusVersion(data []byte) (int, error) {
-	if len(data) < len(corpusMagic)+4 {
-		return 0, corrupt("header", "truncated: %d bytes, need at least %d", len(data), len(corpusMagic)+4)
-	}
-	if string(data[:len(corpusMagic)]) != corpusMagic {
-		return 0, corrupt("header", "bad corpus magic")
-	}
-	return int(binary.LittleEndian.Uint32(data[len(corpusMagic):])), nil
-}
-
 func alignUp(x, a uint64) uint64 { return (x + a - 1) &^ (a - 1) }
 
 // EncodeCorpusShard serializes one shard of a sealed corpus into the v2
-// container. The model is validated first (same invariants as
-// EncodeCorpus) so a successful encode always produces a shard
-// OpenCorpusShardBytes accepts.
+// container. The model is validated first — every strand ID inside the
+// vocabulary, every call and posting inside its executable — so a
+// successful encode always produces a shard OpenCorpusShardBytes
+// accepts.
 func EncodeCorpusShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 	if hdr.ShardCount < 1 || hdr.ShardIndex < 0 || hdr.ShardIndex >= hdr.ShardCount {
 		return nil, fmt.Errorf("snapshot: encode: shard index %d out of range for %d shards", hdr.ShardIndex, hdr.ShardCount)
@@ -415,21 +396,6 @@ func EncodeCorpusShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 		{secV2IdxRows, append(rowIDsB, rowEndsB...)},
 		{secV2IdxPosts, postsB},
 	}
-	// A model carrying signatures writes the v3 layout; without them the
-	// shard stays bit-identical to the pre-signature v2 format, so older
-	// readers (and the exact-only open path) keep working.
-	version := uint32(CorpusFormatVersionV2)
-	if c.Sigs != nil {
-		if uint64(len(c.Sigs)) != nProcs*CorpusSigWords {
-			return nil, fmt.Errorf("snapshot: encode: signature slab holds %d words for %d procedures, want %d", len(c.Sigs), nProcs, nProcs*CorpusSigWords)
-		}
-		sigsB := make([]byte, 0, 4*len(c.Sigs))
-		for _, w := range c.Sigs {
-			sigsB = le.AppendUint32(sigsB, w)
-		}
-		sections = append(sections, section{secV2Sigs, sigsB})
-		version = CorpusFormatVersionV3
-	}
 
 	offs := make([]uint64, len(sections))
 	off := alignUp(uint64(headerSize+len(sections)*tableEntrySize), v2Align)
@@ -442,7 +408,7 @@ func EncodeCorpusShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 
 	out := make([]byte, total)
 	copy(out, corpusMagic)
-	le.PutUint32(out[len(corpusMagic):], version)
+	le.PutUint32(out[len(corpusMagic):], CorpusFormatVersionV2)
 	le.PutUint32(out[len(corpusMagic)+4:], uint32(len(sections)))
 	p := headerSize
 	for i, s := range sections {
@@ -459,28 +425,25 @@ func EncodeCorpusShard(c *Corpus, hdr ShardHeader) ([]byte, error) {
 }
 
 // parseCorpusV2Table validates the shard header and section table:
-// magic, version (2 or 3), exactly the version's section set present
-// exactly once, every declared range inside the input and 64-byte
-// aligned. Checksums are NOT verified here — that is per-section, on
-// first touch. Returns the entries and the format version.
-func parseCorpusV2Table(data []byte) ([]tableEntry, uint32, error) {
+// magic, version 2, every section present exactly once, every declared
+// range inside the input and 64-byte aligned. Checksums are NOT
+// verified here — that is per-section, on first touch.
+func parseCorpusV2Table(data []byte) ([]tableEntry, error) {
 	if len(data) < headerSize {
-		return nil, 0, corrupt("header", "truncated: %d bytes, need at least %d", len(data), headerSize)
+		return nil, corrupt("header", "truncated: %d bytes, need at least %d", len(data), headerSize)
 	}
 	if string(data[:len(corpusMagic)]) != corpusMagic {
-		return nil, 0, corrupt("header", "bad corpus magic")
+		return nil, corrupt("header", "bad corpus magic")
 	}
-	version := binary.LittleEndian.Uint32(data[len(corpusMagic):])
-	if version != CorpusFormatVersionV2 && version != CorpusFormatVersionV3 {
-		return nil, 0, corrupt("header", "unsupported corpus format version %d (this opener reads versions %d and %d)", version, CorpusFormatVersionV2, CorpusFormatVersionV3)
+	if version := binary.LittleEndian.Uint32(data[len(corpusMagic):]); version != CorpusFormatVersionV2 {
+		return nil, corrupt("header", "unsupported corpus format version %d (this opener reads version %d only)", version, CorpusFormatVersionV2)
 	}
-	tags := sectionTagsFor(version)
 	n := binary.LittleEndian.Uint32(data[len(corpusMagic)+4:])
 	if n == 0 || n > maxSectionsV2 {
-		return nil, 0, corrupt("header", "unreasonable section count %d", n)
+		return nil, corrupt("header", "unreasonable section count %d", n)
 	}
 	if uint64(len(data)) < uint64(headerSize)+uint64(n)*tableEntrySize {
-		return nil, 0, corrupt("table", "truncated: %d sections declared but table does not fit in %d bytes", n, len(data))
+		return nil, corrupt("table", "truncated: %d sections declared but table does not fit in %d bytes", n, len(data))
 	}
 	entries := make([]tableEntry, n)
 	seen := map[uint32]bool{}
@@ -493,34 +456,27 @@ func parseCorpusV2Table(data []byte) ([]tableEntry, uint32, error) {
 			crc:    binary.LittleEndian.Uint32(row[20:]),
 		}
 		name := v2SectionName(e.tag)
-		known := false
-		for _, tag := range tags {
-			if e.tag == tag {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return nil, 0, corrupt("table", "unknown section tag %d for format version %d", e.tag, version)
+		if e.tag < secV2Meta || e.tag > secV2IdxPosts {
+			return nil, corrupt("table", "unknown section tag %d", e.tag)
 		}
 		if seen[e.tag] {
-			return nil, 0, corrupt("table", "duplicate %s section", name)
+			return nil, corrupt("table", "duplicate %s section", name)
 		}
 		seen[e.tag] = true
 		if e.off > uint64(len(data)) || e.length > uint64(len(data))-e.off {
-			return nil, 0, corrupt(name, "declared range [%d, %d+%d) exceeds the %d-byte input", e.off, e.off, e.length, len(data))
+			return nil, corrupt(name, "declared range [%d, %d+%d) exceeds the %d-byte input", e.off, e.off, e.length, len(data))
 		}
 		if e.length > 0 && e.off%v2Align != 0 {
-			return nil, 0, corrupt(name, "section offset %d is not %d-byte aligned", e.off, v2Align)
+			return nil, corrupt(name, "section offset %d is not %d-byte aligned", e.off, v2Align)
 		}
 		entries[i] = e
 	}
-	for _, tag := range tags {
+	for tag := uint32(secV2Meta); tag <= secV2IdxPosts; tag++ {
 		if !seen[tag] {
-			return nil, 0, corrupt("table", "missing required %s section", v2SectionName(tag))
+			return nil, corrupt("table", "missing required %s section", v2SectionName(tag))
 		}
 	}
-	return entries, version, nil
+	return entries, nil
 }
 
 // shardSection is one section of an open shard: CRC-verified at most
@@ -569,29 +525,6 @@ type ImageInfo struct {
 	Indexed     bool
 }
 
-// ExeData is one executable materialized from a shard. IDs and Markers
-// alias the mapped file (valid until Close); Calls and the strings are
-// copies.
-type ExeData struct {
-	Path     string
-	Arch     uint8
-	Stripped bool
-	Procs    []ProcData
-}
-
-// ProcData is one procedure of an ExeData.
-type ProcData struct {
-	Name       string
-	Addr       uint32
-	Exported   bool
-	IDs        []uint32
-	Markers    []uint32
-	Calls      []int32
-	BlockCount int
-	EdgeCount  int
-	InstCount  int
-}
-
 // IndexSlabs is one image's inverted index viewed directly over the
 // mapped file: RowIDs[i] is the i-th indexed strand ID, its postings
 // are Posts[RowEnds[i-1]:RowEnds[i]] (RowEnds[-1] taken as 0). All
@@ -604,6 +537,19 @@ type IndexSlabs struct {
 	Posts   []Posting
 }
 
+// Rows returns the index in the model's row form, with every row's
+// postings aliasing the Posts slab. The result is non-nil even when
+// empty, so a present-but-empty index stays distinct from no index.
+func (x *IndexSlabs) Rows() []IndexRow {
+	out := make([]IndexRow, len(x.RowIDs))
+	lo := uint32(0)
+	for i, id := range x.RowIDs {
+		out[i] = IndexRow{ID: id, Posts: x.Posts[lo:x.RowEnds[i]]}
+		lo = x.RowEnds[i]
+	}
+	return out
+}
+
 // CorpusShard is one open v2 shard. All accessors are safe for
 // concurrent use; slices they return alias the underlying mapping and
 // are invalid after Close.
@@ -614,7 +560,6 @@ type CorpusShard struct {
 	closeOnce sync.Once
 
 	hdr      ShardHeader
-	version  uint32
 	totals   v2Totals
 	images   []v2Image
 	exeStart []uint32 // per-image prefix sums into the exe table, len(images)+1
@@ -628,7 +573,6 @@ type CorpusShard struct {
 	callSlabL lazySlab[[]uint32]
 	rowsL     lazySlab[rowSlabs]
 	postsL    lazySlab[[]Posting]
-	sigsL     lazySlab[[]uint32]
 }
 
 type sortedVocab struct {
@@ -648,7 +592,8 @@ func OpenCorpusShardBytes(data []byte) (*CorpusShard, error) {
 }
 
 // OpenCorpusShardFile memory-maps (or, off Linux, reads) a v2 shard
-// file. The returned shard owns the mapping; Close releases it.
+// file. The returned shard owns the mapping; Close releases it. Every
+// error names the file's path.
 func OpenCorpusShardFile(path string) (*CorpusShard, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -661,9 +606,13 @@ func OpenCorpusShardFile(path string) (*CorpusShard, error) {
 	}
 	data, closer, mapped, err := mapFile(f, st.Size())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return openCorpusShard(data, closer, mapped)
+	sh, err := openCorpusShard(data, closer, mapped)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return sh, nil
 }
 
 // readAllFile is the portable mapFile fallback: one read, no mapping.
@@ -685,11 +634,11 @@ func openCorpusShard(data []byte, closer func() error, mapped bool) (*CorpusShar
 		}
 		return nil, err
 	}
-	entries, version, err := parseCorpusV2Table(data)
+	entries, err := parseCorpusV2Table(data)
 	if err != nil {
 		return fail(err)
 	}
-	s := &CorpusShard{data: data, closer: closer, mapped: mapped, version: version}
+	s := &CorpusShard{data: data, closer: closer, mapped: mapped}
 	for _, e := range entries {
 		s.secs[e.tag-secV2Meta].entry = e
 	}
@@ -861,12 +810,6 @@ func (s *CorpusShard) checkLengths() error {
 			return corrupt(v2SectionName(c.tag), "section holds %d bytes, meta requires %d", got, c.want)
 		}
 	}
-	if s.version >= CorpusFormatVersionV3 {
-		want := t.procs * CorpusSigWords * 4
-		if got := s.secs[secV2Sigs-secV2Meta].entry.length; got != want {
-			return corrupt("corpus-sigs", "section holds %d bytes, meta requires %d", got, want)
-		}
-	}
 	return nil
 }
 
@@ -981,64 +924,6 @@ func (s *CorpusShard) postsSlab() ([]Posting, error) {
 	})
 }
 
-// Version returns the shard's format version (2 or 3).
-func (s *CorpusShard) Version() int { return int(s.version) }
-
-// HasSignatures reports whether the shard carries the v3 corpus-sigs
-// section. Without it the LSH tier is unavailable for this shard and
-// searches use the exact prefilter.
-func (s *CorpusShard) HasSignatures() bool { return s.version >= CorpusFormatVersionV3 }
-
-// SigSlab returns the whole per-procedure MinHash signature slab
-// (CorpusSigWords words per procedure, dense order across the shard's
-// images), aliasing the mapping. Nil with no error on a pre-signature
-// v2 shard.
-func (s *CorpusShard) SigSlab() ([]uint32, error) {
-	if !s.HasSignatures() {
-		return nil, nil
-	}
-	return s.sigsL.get(func() ([]uint32, error) {
-		b, err := s.section(secV2Sigs)
-		if err != nil {
-			return nil, err
-		}
-		return castU32(b), nil
-	})
-}
-
-// ImageSigs returns image img's slice of the signature slab: one
-// CorpusSigWords-word signature per procedure, in the executable/
-// procedure order of the image's dense slots. Nil with no error on a
-// v2 shard or for an image with no executables.
-func (s *CorpusShard) ImageSigs(img int) ([]uint32, error) {
-	if img < 0 || img >= len(s.images) {
-		return nil, fmt.Errorf("snapshot: shard image %d out of range", img)
-	}
-	if !s.HasSignatures() {
-		return nil, nil
-	}
-	lo, hi := int(s.exeStart[img]), int(s.exeStart[img+1])
-	if lo == hi {
-		return nil, nil
-	}
-	exeTab, err := s.section(secV2ExeTab)
-	if err != nil {
-		return nil, err
-	}
-	le := binary.LittleEndian
-	start := uint64(le.Uint32(exeTab[lo*v2ExeRecSize+8:]))
-	lastRec := exeTab[(hi-1)*v2ExeRecSize:]
-	end := uint64(le.Uint32(lastRec[8:])) + uint64(le.Uint32(lastRec[12:]))
-	if end < start || end > s.totals.procs {
-		return nil, corrupt("corpus-exe-table", "image %d procedures [%d, %d) exceed the %d-entry table", img, start, end, s.totals.procs)
-	}
-	sigs, err := s.SigSlab()
-	if err != nil {
-		return nil, err
-	}
-	return sigs[start*CorpusSigWords : end*CorpusSigWords : end*CorpusSigWords], nil
-}
-
 // ProcCounts returns the per-executable procedure counts of image img
 // from the executable table alone — what a foreign index needs to
 // validate postings without materializing any executable.
@@ -1060,11 +945,12 @@ func (s *CorpusShard) ProcCounts(img int) ([]int32, error) {
 }
 
 // Exe materializes executable i of image img. The returned IDs and
-// Markers slices alias the mapped slabs; everything else is copied.
-// Strand IDs are validated (strictly increasing, inside the
-// vocabulary) and call targets are validated against the executable,
-// so consumers can rely on the same invariants DecodeCorpus enforces.
-func (s *CorpusShard) Exe(img, i int) (*ExeData, error) {
+// Markers slices alias the mapped slabs (valid until Close); everything
+// else is copied. Strand IDs are validated (strictly increasing, inside
+// the vocabulary) and call targets are validated against the
+// executable, so consumers can rely on the invariants EncodeCorpusShard
+// enforces.
+func (s *CorpusShard) Exe(img, i int) (*Exe, error) {
 	if img < 0 || img >= len(s.images) || i < 0 || i >= s.images[img].nexes {
 		return nil, fmt.Errorf("snapshot: shard executable (%d, %d) out of range", img, i)
 	}
@@ -1114,11 +1000,11 @@ func (s *CorpusShard) Exe(img, i int) (*ExeData, error) {
 	if rec[41] > 1 {
 		return nil, corrupt("corpus-exe-table", "executable %d stripped flag byte %d is neither 0 nor 1", gi, rec[41])
 	}
-	ed := &ExeData{
+	ed := &Exe{
 		Path:     path,
 		Arch:     rec[40],
 		Stripped: rec[41] == 1,
-		Procs:    make([]ProcData, procCount),
+		Procs:    make([]Proc, procCount),
 	}
 	for pi := range ed.Procs {
 		prec := procTab[(int(procStart)+pi)*v2ProcRecSize:][:v2ProcRecSize]

@@ -95,9 +95,9 @@ func Decode(data []byte) (*Image, error) {
 		case secInterner:
 			err = decodeInterner(r, img)
 		case secExes:
-			err = decodeExes(r, img)
+			img.Exes, err = decodeExes(r)
 		case secIndex:
-			err = decodeIndex(r, img)
+			img.Index, err = decodeIndex(r)
 		}
 		if err != nil {
 			return nil, err
@@ -305,16 +305,7 @@ func decodeInterner(r *reader, img *Image) error {
 	return nil
 }
 
-func decodeExes(r *reader, img *Image) error {
-	exes, err := decodeExesList(r)
-	if err != nil {
-		return err
-	}
-	img.Exes = exes
-	return nil
-}
-
-func decodeExesList(r *reader) ([]Exe, error) {
+func decodeExes(r *reader) ([]Exe, error) {
 	var out []Exe
 	nexes, err := r.count("executable", 3)
 	if err != nil {
@@ -391,16 +382,7 @@ func decodeExesList(r *reader) ([]Exe, error) {
 	return out, nil
 }
 
-func decodeIndex(r *reader, img *Image) error {
-	rows, err := decodeIndexRows(r)
-	if err != nil {
-		return err
-	}
-	img.Index = rows
-	return nil
-}
-
-func decodeIndexRows(r *reader) ([]IndexRow, error) {
+func decodeIndex(r *reader) ([]IndexRow, error) {
 	nrows, err := r.count("index row", 2)
 	if err != nil {
 		return nil, err
@@ -452,14 +434,8 @@ func decodeIndexRows(r *reader) ([]IndexRow, error) {
 // decoded: strand IDs must fall inside the vocabulary, call targets
 // inside their executable, postings inside the executable table.
 func linkCheck(img *Image) error {
-	if err := linkCheckExes(len(img.Interner), img.Exes); err != nil {
-		return err
-	}
-	return linkCheckIndex(len(img.Interner), img.Exes, img.Index)
-}
-
-func linkCheckExes(nvocab int, exes []Exe) error {
-	vocab := uint32(nvocab)
+	vocab := uint32(len(img.Interner))
+	exes := img.Exes
 	for ei, e := range exes {
 		for pi, p := range e.Procs {
 			if n := len(p.IDs); n > 0 && p.IDs[n-1] >= vocab {
@@ -472,12 +448,7 @@ func linkCheckExes(nvocab int, exes []Exe) error {
 			}
 		}
 	}
-	return nil
-}
-
-func linkCheckIndex(nvocab int, exes []Exe, rows []IndexRow) error {
-	vocab := uint32(nvocab)
-	for ri, row := range rows {
+	for ri, row := range img.Index {
 		if row.ID >= vocab {
 			return corrupt("index", "row %d references strand ID %d outside the %d-entry vocabulary", ri, row.ID, vocab)
 		}

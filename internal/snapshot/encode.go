@@ -22,10 +22,10 @@ func Encode(img *Image) ([]byte, error) {
 	sections := []section{
 		{secMeta, encodeMeta(img)},
 		{secInterner, encodeInterner(img)},
-		{secExes, encodeExes(img)},
+		{secExes, encodeExes(img.Exes)},
 	}
 	if img.Index != nil {
-		sections = append(sections, section{secIndex, encodeIndex(img)})
+		sections = append(sections, section{secIndex, encodeIndex(img.Index)})
 	}
 
 	out := make([]byte, 0, headerSize+len(sections)*tableEntrySize+payloadLen(sections, func(s section) int { return len(s.payload) }))
@@ -145,11 +145,7 @@ func encodeInterner(img *Image) []byte {
 	return b
 }
 
-func encodeExes(img *Image) []byte {
-	return encodeExesList(img.Exes)
-}
-
-func encodeExesList(exes []Exe) []byte {
+func encodeExes(exes []Exe) []byte {
 	var b []byte
 	b = appendUvarint(b, uint64(len(exes)))
 	for _, e := range exes {
@@ -197,11 +193,7 @@ func encodeExesList(exes []Exe) []byte {
 	return b
 }
 
-func encodeIndex(img *Image) []byte {
-	return encodeIndexRows(img.Index)
-}
-
-func encodeIndexRows(rows []IndexRow) []byte {
+func encodeIndex(rows []IndexRow) []byte {
 	var b []byte
 	b = appendUvarint(b, uint64(len(rows)))
 	prev := uint32(0)

@@ -29,28 +29,24 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte(magic))
-	// v2 shard containers share the magic with v1 artifacts, so the
-	// same fuzz corpus exercises both decoders; seed it with valid
-	// shards so mutations reach deep into the v2 section layout.
+	// The same fuzz corpus exercises the shard opener; seed it with
+	// valid shards (including an empty one) so mutations reach deep into
+	// the v2 section layout.
 	tc := testCorpus()
-	for _, hdr := range []ShardHeader{
-		{ShardCount: 1, TotalImages: len(tc.Images)},
-		{ShardIndex: 1, ShardCount: 3, ImageBase: 4, TotalImages: 9},
+	for _, seed := range []struct {
+		c   *Corpus
+		hdr ShardHeader
+	}{
+		{tc, ShardHeader{ShardCount: 1, TotalImages: len(tc.Images)}},
+		{tc, ShardHeader{ShardIndex: 1, ShardCount: 3, ImageBase: 4, TotalImages: 9}},
+		{&Corpus{}, ShardHeader{ShardCount: 1}},
 	} {
-		data, err := EncodeCorpusShard(tc, hdr)
+		data, err := EncodeCorpusShard(seed.c, seed.hdr)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(data)
 	}
-	// A v3 shard with a signature slab seeds mutations into the
-	// corpus-sigs section and its length checks.
-	v3 := withSigs(testCorpus(), rand.New(rand.NewSource(4)))
-	data, err := EncodeCorpusShard(v3, ShardHeader{ShardCount: 1, TotalImages: len(v3.Images)})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(data)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, err := Decode(data)
 		if err != nil {

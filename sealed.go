@@ -1,26 +1,22 @@
 package firmup
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"firmup/internal/cfg"
-	"firmup/internal/core"
 	"firmup/internal/corpusindex"
 	"firmup/internal/obj"
 	"firmup/internal/sim"
 	"firmup/internal/snapshot"
-	"firmup/internal/strand"
 	"firmup/internal/telemetry"
-	"firmup/internal/uir"
 )
 
 // SealedCorpus is the immutable, serve-oriented form of an analysis
 // session: a frozen strand vocabulary plus every sealed image's
-// executables and inverted index, re-expressed as read-only views. The
+// executables and inverted index, held in FWCORP v2 shards — mapped
+// from disk (OpenSealedCorpus), or one in-memory shard (Seal). The
 // query path — AnalyzeQuery through SearchImage — performs no writes to
 // the corpus: query executables are analyzed under per-request overlay
 // interners whose private IDs sit above the frozen vocabulary, so their
@@ -34,19 +30,16 @@ type SealedCorpus struct {
 	frozen *corpusindex.Frozen
 	images []*SealedImage
 
-	// shards is non-empty only for corpora opened from FWCORP v2 shard
-	// files (OpenSealedCorpus / OpenSealedCorpusDir); it drives the
-	// per-shard fan-out of corpus-wide searches and Close.
+	// shards drives the per-shard fan-out of corpus-wide searches and
+	// Close.
 	shards []*sealedShardRef
 }
 
 // SealedImage is one firmware image of a sealed corpus.
 //
-// In-RAM images (Seal, LoadSealedCorpus) carry all executables in
-// Exes. Store-backed images (OpenSealedCorpus) leave Exes nil until a
-// search needs every executable: individual executables materialize
-// from the mapped shard on demand, so access Exes only through
-// Executable / search APIs, which fault them in as needed.
+// Exes stays nil until a search needs every executable: individual
+// executables materialize from the shard on demand, so access Exes only
+// through Executable / search APIs, which fault them in as needed.
 type SealedImage struct {
 	Vendor  string
 	Device  string
@@ -58,12 +51,10 @@ type SealedImage struct {
 	index   *corpusindex.FrozenIndex
 	targets []*sim.Exe
 
-	// tel, when non-nil, is applied to the image's frozen index —
-	// immediately for in-RAM images, at first index build for
-	// store-backed ones (see SealedCorpus.SetTelemetry).
+	// tel, when non-nil, is applied to the image's frozen index at its
+	// first build (see SealedCorpus.SetTelemetry).
 	tel *corpusindex.Telemetry
 
-	// Store-backed state (nil/zero for in-RAM images).
 	store    *sealedStore
 	storeImg int // image index within the shard
 	nExes    int
@@ -75,8 +66,8 @@ type SealedImage struct {
 }
 
 // Executable returns the sealed executable with the given in-image
-// path, or nil. On a store-backed image this materializes the whole
-// image; nil is also returned if the shard fails to decode.
+// path, or nil. This materializes the whole image; nil is also returned
+// if the shard fails to decode.
 func (im *SealedImage) Executable(path string) *Executable {
 	if err := im.ensureAll(); err != nil {
 		return nil
@@ -103,53 +94,34 @@ func (im *SealedImage) IndexedStrands() int {
 }
 
 // Seal freezes the session's current state into an immutable corpus
-// over the given images. The live Analyzer and its images stay fully
-// usable afterwards — Seal copies what it must (procedure headers,
-// posting slabs) and shares what is already final (hash and ID slices,
-// CSR rows) — so sealing is cheap relative to analysis while the sealed
-// corpus aliases no mutable session state.
+// over the given images: the session vocabulary and the images'
+// executables and indexes are encoded as the single shard of a
+// one-shard FWCORP v2 corpus, held in memory. The sealed corpus thus
+// searches exactly like one written with WriteShards and reopened, and
+// it aliases no session state: the live Analyzer and its images stay
+// fully usable afterwards.
 //
 // Every image must have been analyzed (or loaded) under this session;
 // an executable from another session has incomparable dense IDs and is
 // rejected.
 func (a *Analyzer) Seal(images ...*Image) (*SealedCorpus, error) {
-	frozen := a.interner.Freeze()
-	sc := &SealedCorpus{frozen: frozen}
+	c := &snapshot.Corpus{Interner: a.interner.Hashes()}
 	for ii, img := range images {
-		si := &SealedImage{
-			Vendor:  img.Vendor,
-			Device:  img.Device,
-			Version: img.Version,
-			Skipped: append([]SkipReason(nil), img.Skipped...),
+		ci, err := a.imageModel(img)
+		if err != nil {
+			return nil, fmt.Errorf("firmup: Seal: image %d: %w", ii, err)
 		}
-		for _, e := range img.Exes {
-			if e.exe.Session() != strand.Interner(a.interner) {
-				return nil, fmt.Errorf("firmup: Seal: image %d executable %s was not analyzed under this session", ii, e.Path)
-			}
-			si.Exes = append(si.Exes, &Executable{Path: e.Path, exe: e.exe.Rebound(frozen), rec: e.rec})
-		}
-		si.nExes = len(si.Exes)
-		si.targets = make([]*sim.Exe, len(si.Exes))
-		for i, e := range si.Exes {
-			si.targets[i] = e.exe
-		}
-		if img.index != nil {
-			idx, err := corpusindex.NewFrozenIndex(frozen, si.targets, img.index.Rows())
-			if err != nil {
-				return nil, fmt.Errorf("firmup: Seal: image %d: %w", ii, err)
-			}
-			// Carry the live index's MinHash slab across the seal: the
-			// signatures are over dense IDs, which Freeze and Rebound
-			// preserve, so the sealed LSH tier agrees with the live one
-			// verbatim.
-			if err := idx.SetSignatures(img.index.Signatures()); err != nil {
-				return nil, fmt.Errorf("firmup: Seal: image %d: %w", ii, err)
-			}
-			si.index = idx
-		}
-		sc.images = append(sc.images, si)
+		c.Images = append(c.Images, ci)
 	}
-	return sc, nil
+	data, err := snapshot.EncodeCorpusShard(c, snapshot.ShardHeader{ShardCount: 1, TotalImages: len(c.Images)})
+	if err != nil {
+		return nil, fmt.Errorf("firmup: Seal: %w", err)
+	}
+	shard, err := snapshot.OpenCorpusShardBytes(data)
+	if err != nil {
+		return nil, err
+	}
+	return sealedFromShards([]*snapshot.CorpusShard{shard}, []string{""})
 }
 
 // Images returns the sealed images in seal order. The slice is shared;
@@ -159,22 +131,18 @@ func (sc *SealedCorpus) Images() []*SealedImage { return sc.images }
 // UniqueStrands reports the frozen vocabulary size.
 func (sc *SealedCorpus) UniqueStrands() int { return sc.frozen.Size() }
 
-// SetTelemetry attaches prefilter telemetry to every image index of the
-// corpus: the exact tier's index.queries / index.fallbacks /
-// index.fanout plus the LSH tier's lsh.probes / lsh.fallbacks /
-// lsh.candidates. Call before serving searches — store-backed images
-// apply the handles when their index first builds, in-RAM images
-// immediately. A nil registry detaches.
+// SetTelemetry attaches prefilter telemetry (index.queries /
+// index.fallbacks / index.fanout) to every image index of the corpus.
+// Call before serving searches — an image applies the handles when its
+// index first builds, or immediately if already built. A nil registry
+// detaches.
 func (sc *SealedCorpus) SetTelemetry(r *telemetry.Registry) {
 	var tel *corpusindex.Telemetry
 	if r != nil {
 		tel = &corpusindex.Telemetry{
-			Queries:       r.Counter("index.queries"),
-			Fallbacks:     r.Counter("index.fallbacks"),
-			Fanout:        r.Histogram("index.fanout"),
-			LSHProbes:     r.Counter("lsh.probes"),
-			LSHFallbacks:  r.Counter("lsh.fallbacks"),
-			LSHCandidates: r.Histogram("lsh.candidates"),
+			Queries:   r.Counter("index.queries"),
+			Fallbacks: r.Counter("index.fallbacks"),
+			Fanout:    r.Histogram("index.fanout"),
 		}
 	}
 	for _, im := range sc.images {
@@ -186,8 +154,7 @@ func (sc *SealedCorpus) SetTelemetry(r *telemetry.Registry) {
 }
 
 // Executables reports the total executable count across all images.
-// Cheap even when store-backed: counts come from shard metadata, not
-// materialization.
+// Cheap: counts come from shard metadata, not materialization.
 func (sc *SealedCorpus) Executables() int {
 	n := 0
 	for _, im := range sc.images {
@@ -224,27 +191,7 @@ func (sc *SealedCorpus) AnalyzeQueryWith(path string, data []byte, workers int) 
 	}
 	qit := corpusindex.NewQueryInterner(sc.frozen)
 	bc := &sim.BuildConfig{Workers: workers}
-	return &Executable{Path: path, exe: sim.BuildWith(path, rec, qit, bc), rec: rec}, nil
-}
-
-// sealedView adapts one sealed image to the core search layer's
-// read-only corpus interface, with the acceptance floors baked in so
-// candidate narrowing stays sound (see corpusindex.Candidates).
-type sealedView struct {
-	img        *SealedImage
-	minScore   int
-	minRatio   float64
-	exhaustive bool
-	approx     bool
-}
-
-func (v sealedView) Targets() []*sim.Exe { return v.img.targets }
-
-func (v sealedView) Candidates(q *sim.Exe, qi int) ([]int, bool) {
-	if v.img.index == nil || v.exhaustive {
-		return nil, false
-	}
-	return v.img.index.CandidateIndicesLSH(q.Procs[qi].Set, v.minScore, v.minRatio, v.approx, nil)
+	return &Executable{Path: path, exe: sim.BuildWith(path, rec, qit, bc)}, nil
 }
 
 // SearchImageDetailed looks for the query executable's procedure in
@@ -256,28 +203,7 @@ func (sc *SealedCorpus) SearchImageDetailed(query *Executable, procedure string,
 	if qi < 0 {
 		return nil, fmt.Errorf("firmup: query executable has no procedure %q", procedure)
 	}
-	return sc.searchImageIdx(query, qi, img, opt, opt.traceSpan())
-}
-
-// searchImageIdx runs one resolved query procedure against one image,
-// dispatching between the in-RAM view path and the store-backed lazy
-// path. Both produce byte-identical results. parent is the trace span
-// the search spans attach under — the caller's TraceSpan for direct
-// searches, the per-shard span inside a corpus-wide fan-out.
-func (sc *SealedCorpus) searchImageIdx(query *Executable, qi int, img *SealedImage, opt *Options, parent telemetry.SpanID) (*SearchResult, error) {
-	if img.store != nil {
-		return sc.storeSearch(query, qi, img, opt, parent)
-	}
-	s := opt.search()
-	s.TraceParent = parent
-	v := sealedView{
-		img:        img,
-		minScore:   s.MinScore,
-		minRatio:   s.MinRatio,
-		exhaustive: opt != nil && opt.Exhaustive,
-		approx:     opt != nil && opt.Approx,
-	}
-	return searchResultFromCore(core.SearchView(query.exe, qi, v, s)), nil
+	return sc.storeSearch(query, qi, img, opt, opt.traceSpan())
 }
 
 // SearchBatch looks for every batch query in one sealed image in a
@@ -290,30 +216,7 @@ func (sc *SealedCorpus) SearchBatch(queries []BatchQuery, img *SealedImage, opt 
 	if err != nil {
 		return nil, err
 	}
-	return sc.searchBatchCore(cqs, img, opt, opt.traceSpan())
-}
-
-// searchBatchCore is SearchBatch after query resolution, shared with
-// the corpus-wide fan-out so resolution runs once per corpus pass.
-func (sc *SealedCorpus) searchBatchCore(cqs []core.BatchQuery, img *SealedImage, opt *Options, parent telemetry.SpanID) ([]*SearchResult, error) {
-	if img.store != nil {
-		return sc.storeSearchBatch(cqs, img, opt, parent)
-	}
-	s := opt.search()
-	s.TraceParent = parent
-	v := sealedView{
-		img:        img,
-		minScore:   s.MinScore,
-		minRatio:   s.MinRatio,
-		exhaustive: opt != nil && opt.Exhaustive,
-		approx:     opt != nil && opt.Approx,
-	}
-	res := core.SearchViewBatch(cqs, v, s)
-	out := make([]*SearchResult, len(res))
-	for i := range res {
-		out[i] = searchResultFromCore(res[i])
-	}
-	return out, nil
+	return sc.storeSearchBatch(cqs, img, opt, opt.traceSpan())
 }
 
 // SearchImage looks for the query executable's procedure in every
@@ -348,7 +251,7 @@ func (sc *SealedCorpus) SearchAll(query *Executable, procedure string, opt *Opti
 	out := make([]ImageFindings, len(sc.images))
 	err := sc.fanOut(opt.trace(), opt.traceSpan(), func(i int, parent telemetry.SpanID) error {
 		img := sc.images[i]
-		res, err := sc.searchImageIdx(query, qi, img, opt, parent)
+		res, err := sc.storeSearch(query, qi, img, opt, parent)
 		if err != nil {
 			return err
 		}
@@ -368,31 +271,29 @@ func (sc *SealedCorpus) SearchAll(query *Executable, procedure string, opt *Opti
 }
 
 // fanOut fills per-image results for every image of the corpus: one
-// sequential pass when the corpus is a single range (in-RAM), one
-// goroutine per shard otherwise, merged by global image index. The
-// first error in shard order wins. When the corpus is sharded and a
-// trace is attached, each shard's pass runs under its own
-// "corpus.shard" span (shard index + image count attributes), so a
-// slow request attributes its latency to the shard that caused it;
-// fill receives the span it should parent its own spans under.
+// sequential pass when the corpus is a single shard, one goroutine per
+// shard otherwise, merged by global image index. The first error in
+// shard order wins. When the corpus is sharded and a trace is attached,
+// each shard's pass runs under its own "corpus.shard" span (shard index
+// + image count attributes), so a slow request attributes its latency
+// to the shard that caused it; fill receives the span it should parent
+// its own spans under.
 func (sc *SealedCorpus) fanOut(tr *telemetry.Trace, parent telemetry.SpanID, fill func(i int, parent telemetry.SpanID) error) error {
-	ranges := sc.shardRanges()
-	if len(ranges) == 1 {
-		r := ranges[0]
-		for i := r[0]; i < r[0]+r[1]; i++ {
+	if len(sc.shards) == 1 {
+		for i := range sc.images {
 			if err := fill(i, parent); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	workers := min(len(ranges), runtime.GOMAXPROCS(0))
+	workers := min(len(sc.shards), runtime.GOMAXPROCS(0))
 	sem := make(chan struct{}, workers)
-	errs := make([]error, len(ranges))
+	errs := make([]error, len(sc.shards))
 	var wg sync.WaitGroup
-	for ri, r := range ranges {
+	for ri, ref := range sc.shards {
 		wg.Add(1)
-		go func(ri int, r [2]int) {
+		go func(ri int, ref *sealedShardRef) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
@@ -400,17 +301,17 @@ func (sc *SealedCorpus) fanOut(tr *telemetry.Trace, parent telemetry.SpanID, fil
 			if tr != nil {
 				sp := tr.Start("corpus.shard", parent)
 				sp.SetAttr("shard", int64(ri))
-				sp.SetAttr("images", int64(r[1]))
+				sp.SetAttr("images", int64(ref.n))
 				defer sp.End()
 				shardParent = sp.ID()
 			}
-			for i := r[0]; i < r[0]+r[1]; i++ {
+			for i := ref.base; i < ref.base+ref.n; i++ {
 				if err := fill(i, shardParent); err != nil {
 					errs[ri] = err
 					return
 				}
 			}
-		}(ri, r)
+		}(ri, ref)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -439,7 +340,7 @@ func (sc *SealedCorpus) SearchAllBatch(queries []BatchQuery, opt *Options) ([][]
 	}
 	err = sc.fanOut(opt.trace(), opt.traceSpan(), func(i int, parent telemetry.SpanID) error {
 		img := sc.images[i]
-		res, err := sc.searchBatchCore(cqs, img, opt, parent)
+		res, err := sc.storeSearchBatch(cqs, img, opt, parent)
 		if err != nil {
 			return err
 		}
@@ -479,126 +380,4 @@ func (sc *SealedCorpus) MatchProcedureTraced(query *Executable, procedure string
 		return nil, nil, err
 	}
 	return f, traceFromResult(r), nil
-}
-
-// Save serializes the sealed corpus into the FWCORP artifact: one
-// shared frozen vocabulary plus every image's executables and index, so
-// a serving process cold-starts by LoadSealedCorpus instead of
-// re-analyzing firmware.
-func (sc *SealedCorpus) Save() ([]byte, error) {
-	c := &snapshot.Corpus{Interner: sc.frozen.Vocab()}
-	for i := range sc.images {
-		ci, err := sc.imageModel(i)
-		if err != nil {
-			return nil, err
-		}
-		c.Images = append(c.Images, ci)
-	}
-	return snapshot.EncodeCorpus(c)
-}
-
-// exeToModel serializes one sealed executable into the snapshot model.
-func exeToModel(path string, e *sim.Exe) snapshot.Exe {
-	se := snapshot.Exe{Path: path, Arch: uint8(e.Arch), Stripped: e.Stripped}
-	for _, p := range e.Procs {
-		sp := snapshot.Proc{
-			Name:       p.Name,
-			Addr:       p.Addr,
-			Exported:   p.Exported,
-			IDs:        p.Set.IDs,
-			Markers:    p.Markers,
-			BlockCount: p.BlockCount,
-			EdgeCount:  p.EdgeCount,
-			InstCount:  p.InstCount,
-		}
-		for _, c := range p.Calls {
-			sp.Calls = append(sp.Calls, int32(c))
-		}
-		se.Procs = append(se.Procs, sp)
-	}
-	return se
-}
-
-// LoadSealedCorpus reconstructs a sealed corpus from a Save artifact.
-// No live session is involved: the saved vocabulary restores directly
-// into a frozen interner, the saved dense-ID sets and indexes are valid
-// in its ID space verbatim, and the result serves queries exactly like
-// the corpus that was saved. Unreadable input fails with an error
-// wrapping ErrSnapshotCorrupt.
-func LoadSealedCorpus(data []byte) (*SealedCorpus, error) {
-	c, err := snapshot.DecodeCorpus(data)
-	if err != nil {
-		return nil, err
-	}
-	frozen, err := corpusindex.FrozenFromVocab(c.Interner)
-	if err != nil {
-		return nil, err
-	}
-	sc := &SealedCorpus{frozen: frozen}
-	for ii := range c.Images {
-		ci := &c.Images[ii]
-		si := &SealedImage{Vendor: ci.Vendor, Device: ci.Device, Version: ci.Version}
-		for _, s := range ci.Skipped {
-			si.Skipped = append(si.Skipped, SkipReason{Path: s.Path, Err: errors.New(s.Err)})
-		}
-		for ei := range ci.Exes {
-			se := &ci.Exes[ei]
-			procs := make([]*sim.Proc, len(se.Procs))
-			for pi := range se.Procs {
-				procs[pi] = loadFrozenProc(&se.Procs[pi], c.Interner, frozen)
-			}
-			for i, p := range procs {
-				for _, cl := range p.Calls {
-					procs[cl].CalledBy = append(procs[cl].CalledBy, i)
-				}
-			}
-			e := sim.FromProcsSession(se.Path, procs, frozen)
-			e.Arch = uir.Arch(se.Arch)
-			e.Stripped = se.Stripped
-			si.Exes = append(si.Exes, &Executable{Path: se.Path, exe: e})
-			si.targets = append(si.targets, e)
-		}
-		si.nExes = len(si.Exes)
-		if ci.Index != nil {
-			rows := make([]corpusindex.Row, len(ci.Index))
-			for i, r := range ci.Index {
-				rows[i] = corpusindex.Row{ID: r.ID, Posts: postsFromModel(r.Posts)}
-			}
-			idx, err := corpusindex.NewFrozenIndex(frozen, si.targets, rows)
-			if err != nil {
-				return nil, err
-			}
-			si.index = idx
-		}
-		sc.images = append(sc.images, si)
-	}
-	return sc, nil
-}
-
-// loadFrozenProc rebuilds one procedure in the frozen ID space: the
-// saved dense IDs are the frozen IDs themselves, and the hashes are
-// recovered through the vocabulary. The set binds to the frozen
-// interner directly, so no Intern call ever runs during load.
-func loadFrozenProc(sp *snapshot.Proc, vocab []uint64, frozen *corpusindex.Frozen) *sim.Proc {
-	ids := append([]uint32(nil), sp.IDs...)
-	hashes := make([]uint64, len(sp.IDs))
-	for k, id := range sp.IDs {
-		hashes[k] = vocab[id]
-	}
-	// Set invariant: Hashes sorted ascending (IDs already are).
-	sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
-	p := &sim.Proc{
-		Name:       sp.Name,
-		Addr:       sp.Addr,
-		Exported:   sp.Exported,
-		Set:        strand.Set{Hashes: hashes, IDs: ids, It: frozen},
-		Markers:    sp.Markers,
-		BlockCount: sp.BlockCount,
-		EdgeCount:  sp.EdgeCount,
-		InstCount:  sp.InstCount,
-	}
-	for _, c := range sp.Calls {
-		p.Calls = append(p.Calls, int(c))
-	}
-	return p
 }

@@ -19,18 +19,10 @@ import (
 	"firmup/internal/uir"
 )
 
-// The shard slab layout and the in-session signature layout must agree
-// on the per-procedure word count; both arrays have length zero only
-// when they do.
-var (
-	_ [snapshot.CorpusSigWords - strand.SigWords]struct{}
-	_ [strand.SigWords - snapshot.CorpusSigWords]struct{}
-)
-
-// This file is the store-backed (v2, mmap) side of SealedCorpus: a
-// corpus opened from sharded FWCORP v2 artifacts keeps its bulk state
-// in the mapped files and materializes per-executable session objects
-// lazily, on first search touch. The prefilter makes that pay off: a
+// This file is the store side of SealedCorpus: a sealed corpus keeps
+// its bulk state in FWCORP v2 shards (mapped files, or Seal's in-memory
+// shard) and materializes per-executable session objects lazily, on
+// first search touch. The prefilter makes that pay off: a
 // query's candidate set is computed from the shard's CSR slabs before
 // any executable exists in RAM, so only candidates are ever
 // materialized, and peak RSS tracks the working set instead of the
@@ -59,7 +51,8 @@ type sealedShardRef struct {
 }
 
 // SealedShard describes one shard of an open sealed corpus, for health
-// reporting (firmupd /corpus).
+// reporting (firmupd /corpus). Path is empty for the in-memory shard
+// of a corpus returned by Seal.
 type SealedShard struct {
 	Index       int    `json:"index"`
 	Path        string `json:"path"`
@@ -69,12 +62,8 @@ type SealedShard struct {
 	Mapped      bool   `json:"mapped"`
 }
 
-// Shards describes the open shards backing this corpus, in shard
-// order; nil for an in-RAM (sealed-this-session or v1-loaded) corpus.
+// Shards describes the shards backing this corpus, in shard order.
 func (sc *SealedCorpus) Shards() []SealedShard {
-	if len(sc.shards) == 0 {
-		return nil
-	}
 	out := make([]SealedShard, len(sc.shards))
 	for i, ref := range sc.shards {
 		nexes := 0
@@ -93,9 +82,9 @@ func (sc *SealedCorpus) Shards() []SealedShard {
 	return out
 }
 
-// Close releases the mappings of a store-backed corpus. Searches must
-// have drained first: materialized executables alias the mapped slabs.
-// Close on an in-RAM corpus is a no-op.
+// Close releases the shard mappings. Searches must have drained first:
+// materialized executables alias the mapped slabs. Close on a corpus
+// returned by Seal is a no-op.
 func (sc *SealedCorpus) Close() error {
 	var errs []error
 	for _, ref := range sc.shards {
@@ -106,22 +95,8 @@ func (sc *SealedCorpus) Close() error {
 	return errors.Join(errs...)
 }
 
-// shardRanges returns the contiguous image ranges searched
-// independently by the corpus-wide fan-out: one per shard, or the whole
-// corpus as a single range when in-RAM.
-func (sc *SealedCorpus) shardRanges() [][2]int {
-	if len(sc.shards) == 0 {
-		return [][2]int{{0, len(sc.images)}}
-	}
-	out := make([][2]int, len(sc.shards))
-	for i, ref := range sc.shards {
-		out[i] = [2]int{ref.base, ref.n}
-	}
-	return out
-}
-
-// materialize returns executable i of a store-backed image, building it
-// from the mapped shard on first use. Safe for concurrent callers.
+// materialize returns executable i of the image, building it from the
+// shard on first use. Safe for concurrent callers.
 func (im *SealedImage) materialize(i int) (*Executable, error) {
 	le := &im.lazy[i]
 	le.once.Do(func() { le.exe, le.err = im.store.loadExe(im.storeImg, i) })
@@ -129,9 +104,9 @@ func (im *SealedImage) materialize(i int) (*Executable, error) {
 }
 
 // loadExe materializes one executable from the shard: strand IDs and
-// markers alias the mapped slabs (they are immutable), hashes are
+// markers alias the shard's slabs (they are immutable), hashes are
 // recovered through the frozen vocabulary, and the result binds to the
-// frozen interner exactly like a v1-loaded executable.
+// frozen interner.
 func (st *sealedStore) loadExe(storeImg, i int) (*Executable, error) {
 	ed, err := st.shard.Exe(storeImg, i)
 	if err != nil {
@@ -176,12 +151,9 @@ func (st *sealedStore) loadExe(storeImg, i int) (*Executable, error) {
 	return &Executable{Path: ed.Path, exe: e}, nil
 }
 
-// ensureIndex builds a store-backed image's frozen index directly over
-// the shard's CSR slabs, once. No-op for in-RAM images.
+// ensureIndex builds the image's frozen index directly over the shard's
+// CSR slabs, once.
 func (im *SealedImage) ensureIndex() error {
-	if im.store == nil {
-		return nil
-	}
 	im.idxOnce.Do(func() {
 		slabs, err := im.store.shard.Index(im.storeImg)
 		if err != nil {
@@ -203,21 +175,6 @@ func (im *SealedImage) ensureIndex() error {
 			im.idxErr = &snapshot.CorruptError{Section: "corpus-index-posts", Reason: err.Error()}
 			return
 		}
-		// A v3 shard carries the per-procedure MinHash slab; attach the
-		// image's zero-copy slice so the LSH tier runs straight off the
-		// mapping. A v2 shard has none, and the index serves both probe
-		// modes through the exact prefilter.
-		if im.store.shard.HasSignatures() {
-			sigs, err := im.store.shard.ImageSigs(im.storeImg)
-			if err != nil {
-				im.idxErr = err
-				return
-			}
-			if err := idx.SetSignatures(sigs); err != nil {
-				im.idxErr = &snapshot.CorruptError{Section: "corpus-sigs", Reason: err.Error()}
-				return
-			}
-		}
 		if im.tel != nil {
 			idx.SetTelemetry(im.tel)
 		}
@@ -226,12 +183,9 @@ func (im *SealedImage) ensureIndex() error {
 	return im.idxErr
 }
 
-// ensureAll materializes every executable of a store-backed image and
-// publishes Exes/targets, once. No-op for in-RAM images.
+// ensureAll materializes every executable of the image and publishes
+// Exes/targets, once.
 func (im *SealedImage) ensureAll() error {
-	if im.store == nil {
-		return nil
-	}
 	im.allOnce.Do(func() {
 		exes := make([]*Executable, im.nExes)
 		targets := make([]*sim.Exe, im.nExes)
@@ -272,18 +226,20 @@ func postsToIndex(sp []snapshot.Posting) []corpusindex.Posting {
 // materialization pass and the game prefilter call. Using one closure
 // for both keeps the sets identical by construction: a game can only
 // probe target slots the materialization pass filled.
-func storeCandidates(idx *corpusindex.FrozenIndex, minScore int, minRatio float64, approx bool) func(q *sim.Exe, qpi int, _ []*sim.Exe) ([]int, bool) {
+func storeCandidates(idx *corpusindex.FrozenIndex, minScore int, minRatio float64) func(q *sim.Exe, qpi int, _ []*sim.Exe) ([]int, bool) {
 	return func(q *sim.Exe, qpi int, _ []*sim.Exe) ([]int, bool) {
-		return idx.CandidateIndicesLSH(q.Procs[qpi].Set, minScore, minRatio, approx, nil)
+		return idx.CandidateIndices(q.Procs[qpi].Set, minScore, minRatio, nil)
 	}
 }
 
-// storeSearch runs one query procedure against a store-backed image:
-// candidates come off the mapped CSR index first, and only candidate
-// executables are materialized. Findings, examined counts and step
-// histograms are byte-identical to the in-RAM path — core.Search with
-// the index prefilter is exactly what core.SearchView runs, and
-// non-candidate target slots are never dereferenced.
+// storeSearch runs one query procedure against one image: candidates
+// come off the shard's CSR index first, and only candidate executables
+// are materialized. Findings, examined counts and step histograms are
+// byte-identical to the live session's search — core.Search runs the
+// same index prefilter, and non-candidate target slots are never
+// dereferenced. parent is the trace span the search spans attach under
+// — the caller's TraceSpan for direct searches, the per-shard span
+// inside a corpus-wide fan-out.
 func (sc *SealedCorpus) storeSearch(query *Executable, qi int, img *SealedImage, opt *Options, parent telemetry.SpanID) (*SearchResult, error) {
 	s := opt.search()
 	s.TraceParent = parent
@@ -292,7 +248,7 @@ func (sc *SealedCorpus) storeSearch(query *Executable, qi int, img *SealedImage,
 	}
 	exhaustive := opt != nil && opt.Exhaustive
 	if idx := img.index; idx != nil && !exhaustive {
-		cand := storeCandidates(idx, s.MinScore, s.MinRatio, opt != nil && opt.Approx)
+		cand := storeCandidates(idx, s.MinScore, s.MinRatio)
 		cands, ok := cand(query.exe, qi, nil)
 		if ok {
 			msp := s.Trace.Start("store.materialize", parent)
@@ -330,7 +286,7 @@ func (sc *SealedCorpus) storeSearchBatch(cqs []core.BatchQuery, img *SealedImage
 	}
 	exhaustive := opt != nil && opt.Exhaustive
 	if idx := img.index; idx != nil && !exhaustive {
-		cand := storeCandidates(idx, s.MinScore, s.MinRatio, opt != nil && opt.Approx)
+		cand := storeCandidates(idx, s.MinScore, s.MinRatio)
 		need := make([]bool, img.nExes)
 		narrow := true
 		for _, cq := range cqs {
@@ -386,30 +342,16 @@ func (sc *SealedCorpus) storeSearchBatch(cqs []core.BatchQuery, img *SealedImage
 }
 
 // WriteShards splits the sealed corpus into n contiguous image ranges
-// and writes each as one FWCORP shard file (shard-NNNN.fwcorp) under
+// and writes each as one FWCORP v2 shard file (shard-NNNN.fwcorp) under
 // dir, returning the paths in shard order. Every shard embeds the full
 // frozen vocabulary plus its position, so OpenSealedCorpusDir can
 // validate the set as one coherent corpus. n may exceed the image
 // count; trailing shards are then empty but still valid.
 //
-// Shards carry the per-procedure MinHash signature slab (the v3
-// layout), so corpora opened from them serve the LSH candidate tier
-// without rederiving signatures. Shards are encoded and written by a
-// bounded worker pool; each shard's bytes depend only on its own image
-// range, so the output is identical to a sequential pass.
+// Shards are encoded and written by a bounded worker pool; each shard's
+// bytes depend only on its own image range, so the output is identical
+// to a sequential pass.
 func (sc *SealedCorpus) WriteShards(dir string, n int) ([]string, error) {
-	return sc.writeShards(dir, n, true)
-}
-
-// WriteShardsNoSigs is WriteShards without the corpus-sigs section —
-// the pre-LSH v2 artifact layout, readable by older firmupd builds.
-// Corpora opened from such shards fall back to the exact prefilter for
-// both probe modes.
-func (sc *SealedCorpus) WriteShardsNoSigs(dir string, n int) ([]string, error) {
-	return sc.writeShards(dir, n, false)
-}
-
-func (sc *SealedCorpus) writeShards(dir string, n int, sigs bool) ([]string, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("firmup: WriteShards: shard count %d must be at least 1", n)
 	}
@@ -438,7 +380,7 @@ func (sc *SealedCorpus) writeShards(dir string, n int, sigs bool) ([]string, err
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			paths[si], errs[si] = sc.writeShard(dir, si, n, ranges[si].base, ranges[si].cnt, total, sigs)
+			paths[si], errs[si] = sc.writeShard(dir, si, n, ranges[si].base, ranges[si].cnt, total)
 		}(si)
 	}
 	wg.Wait()
@@ -452,22 +394,14 @@ func (sc *SealedCorpus) writeShards(dir string, n int, sigs bool) ([]string, err
 }
 
 // writeShard encodes and writes one shard's image range.
-func (sc *SealedCorpus) writeShard(dir string, si, n, base, cnt, total int, sigs bool) (string, error) {
+func (sc *SealedCorpus) writeShard(dir string, si, n, base, cnt, total int) (string, error) {
 	c := &snapshot.Corpus{Interner: sc.frozen.Vocab()}
-	if sigs {
-		// Non-nil even for an empty shard, so every shard of the set
-		// encodes as the same container version.
-		c.Sigs = []uint32{}
-	}
 	for i := base; i < base+cnt; i++ {
 		ci, err := sc.imageModel(i)
 		if err != nil {
 			return "", err
 		}
 		c.Images = append(c.Images, ci)
-		if sigs {
-			c.Sigs = appendModelSigs(c.Sigs, &c.Images[len(c.Images)-1])
-		}
 	}
 	data, err := snapshot.EncodeCorpusShard(c, snapshot.ShardHeader{
 		ShardIndex:  si,
@@ -485,53 +419,38 @@ func (sc *SealedCorpus) writeShard(dir string, si, n, base, cnt, total int, sigs
 	return p, nil
 }
 
-// appendModelSigs appends every procedure's MinHash signature of one
-// image model. Signatures are computed over the frozen dense IDs —
-// exactly the IDs the live session's slab was computed over, since
-// Freeze and Rebound preserve them — so a rewritten shard's slab is
-// byte-identical to the sealing session's.
-func appendModelSigs(sigs []uint32, ci *snapshot.CorpusImage) []uint32 {
-	for _, e := range ci.Exes {
-		for _, p := range e.Procs {
-			n := len(sigs)
-			sigs = append(sigs, make([]uint32, snapshot.CorpusSigWords)...)
-			strand.MinHashInto(sigs[n:], p.IDs)
-		}
-	}
-	return sigs
-}
-
-// imageModel serializes image i into the snapshot corpus model,
-// materializing it first when store-backed.
+// imageModel reads image i back into the snapshot corpus model
+// straight off its shard: executables and index rows alias the shard's
+// slabs, and no session object is materialized.
 func (sc *SealedCorpus) imageModel(i int) (snapshot.CorpusImage, error) {
 	im := sc.images[i]
-	if err := im.ensureAll(); err != nil {
-		return snapshot.CorpusImage{}, err
-	}
-	if err := im.ensureIndex(); err != nil {
-		return snapshot.CorpusImage{}, err
-	}
 	ci := snapshot.CorpusImage{Vendor: im.Vendor, Device: im.Device, Version: im.Version}
 	for _, s := range im.Skipped {
 		ci.Skipped = append(ci.Skipped, snapshot.Skip{Path: s.Path, Err: s.Err.Error()})
 	}
-	for _, e := range im.Exes {
-		ci.Exes = append(ci.Exes, exeToModel(e.Path, e.exe))
-	}
-	if im.index != nil {
-		rows := im.index.Rows()
-		ci.Index = make([]snapshot.IndexRow, len(rows))
-		for k, r := range rows {
-			ci.Index[k] = snapshot.IndexRow{ID: r.ID, Posts: postsToModel(r.Posts)}
+	ci.Exes = make([]snapshot.Exe, im.nExes)
+	for k := range ci.Exes {
+		e, err := im.store.shard.Exe(im.storeImg, k)
+		if err != nil {
+			return snapshot.CorpusImage{}, err
 		}
+		ci.Exes[k] = *e
+	}
+	slabs, err := im.store.shard.Index(im.storeImg)
+	if err != nil {
+		return snapshot.CorpusImage{}, err
+	}
+	if slabs != nil {
+		ci.Index = slabs.Rows()
 	}
 	return ci, nil
 }
 
-// OpenSealedCorpus opens a sealed corpus from any persisted form: a
-// directory of v2 shards, a single v2 shard file (of a 1-shard
-// corpus), or a v1 FWCORP artifact (fully decoded into RAM, as
-// LoadSealedCorpus always has).
+// OpenSealedCorpus opens a sealed corpus from disk: a directory of v2
+// shards (see OpenSealedCorpusDir), or the single shard file of a
+// one-shard corpus. A file in any other container version fails with
+// an error wrapping ErrSnapshotCorrupt that names the version and the
+// file's path.
 func OpenSealedCorpus(path string) (*SealedCorpus, error) {
 	st, err := os.Stat(path)
 	if err != nil {
@@ -539,26 +458,6 @@ func OpenSealedCorpus(path string) (*SealedCorpus, error) {
 	}
 	if st.IsDir() {
 		return OpenSealedCorpusDir(path)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	hdr := make([]byte, 12)
-	n, _ := f.Read(hdr)
-	f.Close()
-	version, err := snapshot.CorpusVersion(hdr[:n])
-	if err != nil {
-		return nil, err
-	}
-	if version < snapshot.CorpusFormatVersionV2 {
-		// v1 (and any unknown version, which DecodeCorpus rejects with
-		// the proper diagnostic): the eager decode path.
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return LoadSealedCorpus(data)
 	}
 	shard, err := snapshot.OpenCorpusShardFile(path)
 	if err != nil {
@@ -572,42 +471,12 @@ func OpenSealedCorpus(path string) (*SealedCorpus, error) {
 	return sealedFromShards([]*snapshot.CorpusShard{shard}, []string{path})
 }
 
-// MixedCorpusError reports a shard directory that mixes sealed-corpus
-// container generations: a monolithic v1 artifact cannot be served
-// alongside mmap shard files as one corpus. Path names the offending
-// file so the operator can move it out of the shard set.
-type MixedCorpusError struct {
-	// Dir is the directory that was scanned.
-	Dir string
-	// Path is the first file whose container generation disagrees with
-	// the shard files around it.
-	Path string
-	// Version is that file's container format version.
-	Version int
-}
-
-func (e *MixedCorpusError) Error() string {
-	return fmt.Sprintf("firmup: %s mixes sealed-corpus container generations: %s is a v%d artifact among shard files", e.Dir, e.Path, e.Version)
-}
-
-// sniffCorpusVersion reads just the container header version of one
-// .fwcorp file.
-func sniffCorpusVersion(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	hdr := make([]byte, 16)
-	n, _ := f.Read(hdr)
-	f.Close()
-	return snapshot.CorpusVersion(hdr[:n])
-}
-
 // OpenSealedCorpusDir opens every *.fwcorp shard under dir as one
 // sealed corpus, validating that the files form exactly one complete
 // shard set (contiguous indexes, agreeing totals, byte-identical
-// frozen vocabulary). A directory mixing monolithic v1 artifacts with
-// shard files fails with a *MixedCorpusError naming the odd file out.
+// frozen vocabulary). A file that fails to open — including one in
+// another container version — fails the whole set with an error naming
+// its path.
 func OpenSealedCorpusDir(dir string) (*SealedCorpus, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "*.fwcorp"))
 	if err != nil {
@@ -617,25 +486,6 @@ func OpenSealedCorpusDir(dir string) (*SealedCorpus, error) {
 		return nil, fmt.Errorf("firmup: %s holds no .fwcorp shards", dir)
 	}
 	sort.Strings(matches)
-	versions := make([]int, len(matches))
-	hasShard := false
-	for i, p := range matches {
-		v, err := sniffCorpusVersion(p)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p, err)
-		}
-		versions[i] = v
-		if v >= snapshot.CorpusFormatVersionV2 {
-			hasShard = true
-		}
-	}
-	if hasShard {
-		for i, v := range versions {
-			if v < snapshot.CorpusFormatVersionV2 {
-				return nil, &MixedCorpusError{Dir: dir, Path: matches[i], Version: v}
-			}
-		}
-	}
 	shards := make([]*snapshot.CorpusShard, 0, len(matches))
 	closeAll := func() {
 		for _, s := range shards {
@@ -646,7 +496,7 @@ func OpenSealedCorpusDir(dir string) (*SealedCorpus, error) {
 		s, err := snapshot.OpenCorpusShardFile(p)
 		if err != nil {
 			closeAll()
-			return nil, fmt.Errorf("%s: %w", p, err)
+			return nil, err
 		}
 		shards = append(shards, s)
 	}

@@ -1,8 +1,11 @@
 package firmup_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -223,19 +226,28 @@ func TestSealedConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestSealedCorpusSaveLoadRoundTrip serializes a sealed corpus to the
-// FWCORP artifact and reloads it with no live session; the loaded
-// corpus must carry identical metadata and answer searches identically.
+// writeOneShard persists a sealed corpus as a one-shard set and
+// returns the path of its single shard file.
+func writeOneShard(t *testing.T, sc *firmup.SealedCorpus) string {
+	t.Helper()
+	paths, err := sc.WriteShards(t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths[0]
+}
+
+// TestSealedCorpusSaveLoadRoundTrip writes a sealed corpus as a
+// one-shard set and reopens the shard file with no live session; the
+// loaded corpus must carry identical metadata and answer searches
+// identically.
 func TestSealedCorpusSaveLoadRoundTrip(t *testing.T) {
 	s := buildSealedScenario(t, corpus.DefaultScale())
-	blob, err := s.sealed.Save()
+	loaded, err := firmup.OpenSealedCorpus(writeOneShard(t, s.sealed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := firmup.LoadSealedCorpus(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer loaded.Close()
 	if got, want := loaded.UniqueStrands(), s.sealed.UniqueStrands(); got != want {
 		t.Errorf("unique strands: loaded %d, sealed %d", got, want)
 	}
@@ -282,26 +294,75 @@ func TestSealedCorpusSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSealedCorpusCorruption flips bits across a saved artifact; every
-// damaged form must fail to load with an error wrapping
-// ErrSnapshotCorrupt, never a panic or a silently wrong corpus.
+// TestSealedCorpusCorruption flips bits across a written shard file;
+// every damaged form must fail — at open, or at the first search or
+// index build that touches the damaged section — with an error wrapping
+// ErrSnapshotCorrupt, never a panic or a silently wrong corpus. Only
+// bytes the container covers (header, section table, section payloads)
+// are flipped: the zero padding between aligned sections carries no
+// data.
 func TestSealedCorpusCorruption(t *testing.T) {
 	s := buildSealedScenario(t, corpus.DefaultScale())
-	blob, err := s.sealed.Save()
+	path := writeOneShard(t, s.sealed)
+	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for off := 0; off < len(blob); off += 211 {
+	qb := queryBytesFor(t, corpus.CVEByID("CVE-2014-4877"), uir.ArchMIPS32)
+	// Container layout: magic (8) | version (4) | section count (4),
+	// then 24-byte table entries tag (4) | offset (8) | length (8) | crc (4).
+	le := binary.LittleEndian
+	nsec := int(le.Uint32(blob[12:]))
+	covered := make([]bool, len(blob))
+	for off := 0; off < 16+24*nsec; off++ {
+		covered[off] = true
+	}
+	for k := 0; k < nsec; k++ {
+		e := blob[16+24*k:]
+		off, n := le.Uint64(e[4:]), le.Uint64(e[12:])
+		for b := off; b < off+n; b++ {
+			covered[b] = true
+		}
+	}
+	open := func(data []byte) error {
+		bad := filepath.Join(t.TempDir(), "shard-0000.fwcorp")
+		if err := os.WriteFile(bad, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := firmup.OpenSealedCorpus(bad)
+		if err != nil {
+			return err
+		}
+		defer sc.Close()
+		q, err := sc.AnalyzeQuery(qb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// An exhaustive pass materializes every executable and a default
+		// pass builds every index: together they touch every section.
+		for _, opt := range []*firmup.Options{{Exhaustive: true}, nil} {
+			if _, err := sc.SearchAll(q, "ftp_retrieve_glob", opt); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// Every flip costs a full open-and-search, so sample ~64 offsets;
+	// the snapshot package's tests flip every covered byte of a shard.
+	for off := 0; off < len(blob); off += max(211, len(blob)/64) {
+		if !covered[off] {
+			continue
+		}
 		bad := append([]byte(nil), blob...)
 		bad[off] ^= 0x40
-		if _, err := firmup.LoadSealedCorpus(bad); err == nil {
+		if err := open(bad); err == nil {
 			t.Errorf("bit flip at offset %d loaded successfully", off)
 		} else if !errors.Is(err, firmup.ErrSnapshotCorrupt) {
 			t.Errorf("bit flip at offset %d: error does not wrap ErrSnapshotCorrupt: %v", off, err)
 		}
 	}
 	for _, n := range []int{0, 4, len(blob) / 2, len(blob) - 1} {
-		if _, err := firmup.LoadSealedCorpus(blob[:n]); err == nil {
+		if err := open(blob[:n]); err == nil {
 			t.Errorf("truncation to %d bytes loaded successfully", n)
 		}
 	}

@@ -29,34 +29,70 @@ func (a *Analyzer) SaveImage(img *Image) ([]byte, error) {
 	if a.met != nil {
 		saveSpan = a.met.snapSave.Start()
 	}
-	m := &snapshot.Image{
-		Vendor:   img.Vendor,
-		Device:   img.Device,
-		Version:  img.Version,
+	ci, err := a.imageModel(img)
+	if err != nil {
+		return nil, fmt.Errorf("firmup: SaveImage: %w", err)
+	}
+	blob, err := snapshot.Encode(&snapshot.Image{
+		Vendor:   ci.Vendor,
+		Device:   ci.Device,
+		Version:  ci.Version,
+		Skipped:  ci.Skipped,
 		Interner: a.interner.Hashes(),
-	}
-	for _, s := range img.Skipped {
-		m.Skipped = append(m.Skipped, snapshot.Skip{Path: s.Path, Err: s.Err.Error()})
-	}
-	for _, e := range img.Exes {
-		if e.exe.Session() != strand.Interner(a.interner) {
-			return nil, fmt.Errorf("firmup: SaveImage: executable %s was not analyzed under this session", e.Path)
-		}
-		m.Exes = append(m.Exes, exeToModel(e.Path, e.exe))
-	}
-	if img.index != nil {
-		rows := img.index.Rows()
-		m.Index = make([]snapshot.IndexRow, len(rows))
-		for i, r := range rows {
-			m.Index[i] = snapshot.IndexRow{ID: r.ID, Posts: postsToModel(r.Posts)}
-		}
-	}
-	blob, err := snapshot.Encode(m)
+		Exes:     ci.Exes,
+		Index:    ci.Index,
+	})
 	if a.met != nil && err == nil {
 		a.met.snapSaveBytes.Add(int64(len(blob)))
 		saveSpan.End()
 	}
 	return blob, err
+}
+
+// imageModel converts an image analyzed under this session into the
+// snapshot model — the shared form of SaveImage and Seal. Strand sets
+// and index rows are expressed in the session's dense-ID space.
+func (a *Analyzer) imageModel(img *Image) (snapshot.CorpusImage, error) {
+	ci := snapshot.CorpusImage{Vendor: img.Vendor, Device: img.Device, Version: img.Version}
+	for _, s := range img.Skipped {
+		ci.Skipped = append(ci.Skipped, snapshot.Skip{Path: s.Path, Err: s.Err.Error()})
+	}
+	for _, e := range img.Exes {
+		if e.exe.Session() != strand.Interner(a.interner) {
+			return snapshot.CorpusImage{}, fmt.Errorf("executable %s was not analyzed under this session", e.Path)
+		}
+		ci.Exes = append(ci.Exes, exeToModel(e.Path, e.exe))
+	}
+	if img.index != nil {
+		rows := img.index.Rows()
+		ci.Index = make([]snapshot.IndexRow, len(rows))
+		for i, r := range rows {
+			ci.Index[i] = snapshot.IndexRow{ID: r.ID, Posts: postsToModel(r.Posts)}
+		}
+	}
+	return ci, nil
+}
+
+// exeToModel serializes one session executable into the snapshot model.
+func exeToModel(path string, e *sim.Exe) snapshot.Exe {
+	se := snapshot.Exe{Path: path, Arch: uint8(e.Arch), Stripped: e.Stripped}
+	for _, p := range e.Procs {
+		sp := snapshot.Proc{
+			Name:       p.Name,
+			Addr:       p.Addr,
+			Exported:   p.Exported,
+			IDs:        p.Set.IDs,
+			Markers:    p.Markers,
+			BlockCount: p.BlockCount,
+			EdgeCount:  p.EdgeCount,
+			InstCount:  p.InstCount,
+		}
+		for _, c := range p.Calls {
+			sp.Calls = append(sp.Calls, int32(c))
+		}
+		se.Procs = append(se.Procs, sp)
+	}
+	return se
 }
 
 func postsToModel(ps []corpusindex.Posting) []snapshot.Posting {
