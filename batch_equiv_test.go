@@ -70,7 +70,7 @@ func batchPool(t *testing.T, s *sealedScenario) (live, sealed []firmup.BatchQuer
 // batch size 1..N and shuffled query order must produce results
 // deep-equal — findings, examined counts and step histograms — to
 // sequential per-query SearchImageDetailed, on both the live Analyzer
-// path and the sealed SearchView path.
+// path and the sealed (shard-backed) path.
 func TestSearchBatchEquivalenceOnCorpus(t *testing.T) {
 	s := buildSealedScenario(t, corpus.Scale{DevicesPerVendor: 2, MaxReleases: 2, Seed: 7})
 	livePool, sealedPool := batchPool(t, s)

@@ -13,10 +13,10 @@ import (
 
 // TestTraceEquivalence is the tracing soundness test: a request-scoped
 // trace must be pure observation. Every search path — the live
-// analyzer, the sealed in-RAM corpus, and a sharded mmap-backed corpus
-// — must answer byte-identically with and without a live trace
-// attached, across option variants, and the traced runs must actually
-// record spans (so the equivalence is not vacuous).
+// analyzer, the in-memory corpus Seal returns, and a sharded
+// mmap-backed corpus — must answer byte-identically with and without a
+// live trace attached, across option variants, and the traced runs
+// must actually record spans (so the equivalence is not vacuous).
 func TestTraceEquivalence(t *testing.T) {
 	s := buildSealedScenario(t, corpus.DefaultScale())
 	cve := corpus.CVEByID("CVE-2014-4877")
@@ -76,7 +76,7 @@ func TestTraceEquivalence(t *testing.T) {
 		t.Fatal("live baseline found nothing; equivalence would be vacuous")
 	}
 
-	// Sealed corpora: the in-RAM corpus and the sharded store, over the
+	// Sealed corpora: Seal's in-memory shard and the sharded store, over the
 	// corpus-wide single and batched paths. The comparison is on the
 	// JSON encoding, pinning byte-identical findings.
 	for ci, sc := range []*firmup.SealedCorpus{s.sealed, sharded} {
