@@ -1,7 +1,7 @@
 package strand
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -135,11 +135,16 @@ type Extractor struct {
 	ranges uir.SectionRanges
 
 	sc *extractScratch
+	// excluded are the registers whose final values never become
+	// strands (see excludedRegs); fixed by opt.
+	excluded []uir.Reg
+	// cur is the block entry compute fills, reused across blocks;
+	// entries published to the cache are copies.
+	cur blockEntry
 	// merge scratch, reused across procedures.
 	accH, tmpH []uint64
 	accI, tmpI []uint32
 	accM, tmpM []uint32
-	blockM     []uint32
 
 	// telemetry handles, copied out of the Telemetry struct so recording
 	// is an unconditional nil-safe call.
@@ -159,7 +164,7 @@ func NewExtractor(opt *Options, it Interner, cache *BlockCache) *Extractor {
 // NewExtractorWith is NewExtractor recording extraction metrics into
 // tel. Extraction output (and cache keys) are identical.
 func NewExtractorWith(opt *Options, it Interner, cache *BlockCache, tel *Telemetry) *Extractor {
-	ex := &Extractor{opt: opt, it: it, sc: newExtractScratch()}
+	ex := &Extractor{opt: opt, it: it, sc: newExtractScratch(), excluded: excludedRegs(opt)}
 	if cache != nil && cache.it == it {
 		ex.cache = cache
 		ex.seed = contextSeed(opt)
@@ -240,56 +245,70 @@ func (ex *Extractor) Proc(blocks []*uir.Block) (Set, []uint32) {
 }
 
 // block returns the canonicalization of one block, from the cache when
-// possible.
+// possible. Without a cache the entry is the extractor's reusable
+// scratch entry, valid until the next call.
 func (ex *Extractor) block(b *uir.Block) *blockEntry {
 	ex.telBlocks.Inc()
 	if ex.cache == nil {
-		return ex.compute(b)
+		ex.compute(b)
+		return &ex.cur
 	}
 	k := uir.BlockFingerprint(b, ex.ranges, ex.seed)
 	if e := ex.cache.lookup(k); e != nil {
 		return e
 	}
-	return ex.cache.store(k, ex.compute(b))
+	ex.compute(b)
+	return ex.cache.store(k, ex.cur.clone())
 }
 
-// compute runs extraction for one block and packages the result as an
-// immutable entry.
-func (ex *Extractor) compute(b *uir.Block) *blockEntry {
-	st := ex.sc.analyze(b, ex.opt)
-	strands := st.render(ex.opt)
-	ex.telComputed.Inc()
-	ex.telStrands.Add(int64(len(strands)))
-	e := &blockEntry{}
-	if len(strands) == 0 {
-		return e
-	}
-	e.hashes = make([]uint64, len(strands))
-	ex.blockM = ex.blockM[:0]
-	for i, s := range strands {
-		e.hashes[i] = s.Hash
-		collectHexConstants(s.Text, func(v uint32) {
+// extract analyzes one block and renders its strands through emit (see
+// extractScratch.render).
+func (ex *Extractor) extract(b *uir.Block, emit func(hash uint64, text []byte)) {
+	ex.sc.analyze(b, ex.opt)
+	ex.sc.render(ex.opt, ex.excluded, emit)
+}
+
+// compute runs extraction for one block into ex.cur: sorted strand
+// hashes, sorted unique markers read off the strand texts, and sorted
+// dense IDs under a session.
+func (ex *Extractor) compute(b *uir.Block) {
+	e := &ex.cur
+	e.hashes, e.markers, e.ids = e.hashes[:0], e.markers[:0], e.ids[:0]
+	ex.extract(b, func(hash uint64, text []byte) {
+		e.hashes = append(e.hashes, hash)
+		collectHexConstants(text, func(v uint32) {
 			if isMarker(v) {
-				ex.blockM = append(ex.blockM, v)
-			}
-		})
-	}
-	// Strands are unique by hash already (render dedups); sort for merge.
-	sort.Slice(e.hashes, func(i, j int) bool { return e.hashes[i] < e.hashes[j] })
-	if len(ex.blockM) > 0 {
-		sort.Slice(ex.blockM, func(i, j int) bool { return ex.blockM[i] < ex.blockM[j] })
-		e.markers = append(make([]uint32, 0, len(ex.blockM)), ex.blockM[0])
-		for _, v := range ex.blockM[1:] {
-			if v != e.markers[len(e.markers)-1] {
 				e.markers = append(e.markers, v)
 			}
+		})
+	})
+	ex.telComputed.Inc()
+	ex.telStrands.Add(int64(len(e.hashes)))
+	// Strands are unique by hash already (render dedups); sort for merge.
+	slices.Sort(e.hashes)
+	slices.Sort(e.markers)
+	e.markers = slices.Compact(e.markers)
+	if ex.it != nil && len(e.hashes) > 0 {
+		e.ids = internAll(ex.it, e.hashes, e.ids)
+		slices.Sort(e.ids)
+	}
+}
+
+// clone returns an exactly-sized copy of e for publication, keeping the
+// empty-slice conventions of a fresh entry: no hashes means no IDs or
+// markers, and nil IDs mean no session.
+func (e *blockEntry) clone() *blockEntry {
+	c := &blockEntry{}
+	if len(e.hashes) > 0 {
+		c.hashes = slices.Clone(e.hashes)
+		if e.ids != nil {
+			c.ids = slices.Clone(e.ids)
 		}
 	}
-	if ex.it != nil {
-		e.ids = internAll(ex.it, e.hashes, make([]uint32, 0, len(e.hashes)))
-		sort.Slice(e.ids, func(i, j int) bool { return e.ids[i] < e.ids[j] })
+	if len(e.markers) > 0 {
+		c.markers = slices.Clone(e.markers)
 	}
-	return e
+	return c
 }
 
 // mergeU64 appends the sorted-unique union of a and b (each sorted

@@ -38,7 +38,7 @@ func (it *lockedInterner) Intern(h uint64) uint32 {
 
 // recoverProcs compiles the shared test source for one architecture and
 // returns the recovered procedures plus the extraction options.
-func recoverProcs(t *testing.T, arch uir.Arch) ([]*cfg.Proc, *Options) {
+func recoverProcs(t testing.TB, arch uir.Arch) ([]*cfg.Proc, *Options) {
 	t.Helper()
 	pkg, err := compiler.CompileToMIR(isatest.Source, compiler.Profile{OptLevel: 2})
 	if err != nil {
@@ -214,5 +214,69 @@ func TestBlockCacheConcurrent(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Hits == 0 {
 		t.Errorf("concurrent replay produced no hits: %+v", st)
+	}
+}
+
+// allocBlockSet is the fixed block set of the allocation gate and
+// BenchmarkExtractorProc: every recovered procedure of the shared test
+// source on all four ISAs, each paired with its extraction options.
+func allocBlockSet(tb testing.TB) (procs [][]*cfg.Proc, opts []*Options) {
+	tb.Helper()
+	for _, arch := range []uir.Arch{uir.ArchMIPS32, uir.ArchARM32, uir.ArchPPC32, uir.ArchX86} {
+		p, opt := recoverProcs(tb, arch)
+		procs = append(procs, p)
+		opts = append(opts, opt)
+	}
+	return procs, opts
+}
+
+// BenchmarkExtractorProc measures uncached single-pass extraction (the
+// sealed query path) over the fixed block set; one op is every
+// procedure on every ISA.
+func BenchmarkExtractorProc(b *testing.B) {
+	procs, opts := allocBlockSet(b)
+	exs := make([]*Extractor, len(opts))
+	for i, opt := range opts {
+		exs[i] = NewExtractor(opt, nil, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for a, ex := range exs {
+			for _, p := range procs[a] {
+				ex.Proc(p.Blocks)
+			}
+		}
+	}
+}
+
+// TestExtractorAllocs gates the allocation count of uncached
+// single-pass extraction: once the extractor's scratch has warmed up,
+// a procedure allocates only its returned hash set and marker list.
+// Per-block analysis, rendering, hashing and marker scanning allocate
+// nothing.
+func TestExtractorAllocs(t *testing.T) {
+	procs, opts := allocBlockSet(t)
+	for a, opt := range opts {
+		ex := NewExtractor(opt, nil, nil)
+		maxAllocs := 0
+		for _, p := range procs[a] {
+			set, markers := ex.Proc(p.Blocks)
+			if len(set.Hashes) > 0 {
+				maxAllocs++
+			}
+			if len(markers) > 0 {
+				maxAllocs++
+			}
+		}
+		got := testing.AllocsPerRun(20, func() {
+			for _, p := range procs[a] {
+				ex.Proc(p.Blocks)
+			}
+		})
+		t.Logf("%v: %d procedures, %.0f allocs per pass (ceiling %d)", opt.ABI.Arch, len(procs[a]), got, maxAllocs)
+		if got > float64(maxAllocs) {
+			t.Errorf("%v: Extractor.Proc made %.0f allocations per pass, want ≤ %d", opt.ABI.Arch, got, maxAllocs)
+		}
 	}
 }

@@ -28,13 +28,18 @@ func TestCommutativeOrderingIgnoresRegisters(t *testing.T) {
 	n1 := bd.bin(uir.OpAdd, a, b)
 	n2 := bd.bin(uir.OpAdd, b, a)
 	opt := &Options{}
-	r1 := newRenderer(bd, opt)
-	t1 := r1.finish("ret " + r1.expr(n1))
-	r2 := newRenderer(bd, opt)
-	t2 := r2.finish("ret " + r2.expr(n2))
+	t1, t2 := renderRet(bd, opt, n1), renderRet(bd, opt, n2)
 	if t1 != t2 {
 		t.Errorf("commutative renders differ:\n%s\nvs\n%s", t1, t2)
 	}
+}
+
+// renderRet renders the strand "ret n" with a fresh renderer.
+func renderRet(bd *builder, opt *Options, n *node) string {
+	rd := &renderer{bd: bd, opt: opt}
+	rd.begin()
+	rd.basis1("ret ", rd.expr(n))
+	return string(rd.buf)
 }
 
 func TestConstantFolding(t *testing.T) {
